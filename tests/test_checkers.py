@@ -289,6 +289,39 @@ class TestMotion:
         # 3 starts, 2 can extend once, 1 can extend twice.
         assert len(traces) == 3 + 2 + 1
 
+    def test_enumeration_order_is_documented(self):
+        # z0 advances one row per step, z1 is free: first states vary the
+        # placements fastest, successor steps vary the masks fastest, and
+        # every prefix comes before its extensions (depth-first).
+        g = make_grid(2, 1)
+        aset = AssumptionSet([FixedMotion("z0", frozenset({(B,)}))])
+        cfg = cfg_of(g, ["h"], ["z0", "z1"], aset, 2, Algorithm.MOTION)
+        p1, p2 = Position(1, 1), Position(2, 1)
+
+        def rows(t):
+            return [(s.props["h"], s.noms["z0"], s.noms["z1"]) for s in t.states]
+
+        head = [rows(t) for t in itertools.islice(generate_traces_motion(cfg), 11)]
+        first = (set(), p1, p1)
+        assert head[0] == [first]
+        assert head[1:5] == [
+            [first, (set(), p2, p1)],
+            [first, ({p1}, p2, p1)],
+            [first, ({p2}, p2, p1)],
+            [first, ({p1, p2}, p2, p1)],
+        ]
+        assert head[5] == [first, (set(), p2, p2)]
+        assert head[9] == [(set(), p1, p2)]
+        assert head[10] == [(set(), p1, p2), (set(), p2, p1)]
+        firsts = [rows(t)[0] for t in generate_traces_motion(cfg) if len(t) == 1]
+        assert firsts[:5] == [
+            (set(), p1, p1),
+            (set(), p1, p2),
+            (set(), p2, p1),
+            (set(), p2, p2),
+            ({p1}, p1, p1),
+        ]
+
     def test_exactness_against_brute_force(self):
         rng = random.Random(77)
         for _ in range(25):

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,13 @@ class TestValidities:
         assert main(["validities", "--max-rows", "2", "--max-cols", "1", "--max-len", "2"]) == 0
         out = capsys.readouterr().out
         assert "validity" in out and "FAIL" not in out
+
+    def test_small_bounds_output_is_pinned(self, capsys):
+        # Which countermodel is found (not only that it is genuine) depends on
+        # the baseline enumeration order; the golden file pins it.
+        golden = Path(__file__).with_name("golden") / "validities_2x1x2.txt"
+        assert main(["validities", "--max-rows", "2", "--max-cols", "1", "--max-len", "2"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestBench:
