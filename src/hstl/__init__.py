@@ -18,10 +18,6 @@ from .checkers import (
     CheckerConfig,
     CheckResult,
     baseline_trace_count,
-    check_global_assumptions,
-    complete_state,
-    enumerate_states,
-    generate_initial_states,
     generate_traces_baseline,
     generate_traces_motion,
     generate_traces_optimized,
@@ -29,8 +25,6 @@ from .checkers import (
     sat_traces,
     state_count,
     trace_count_bound,
-    valid_dependee_positions,
-    valid_prop_assignments,
 )
 from .core import (
     Direction,

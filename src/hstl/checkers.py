@@ -1,30 +1,37 @@
 """Bounded trace generation and satisfaction search.
 
 Three generators of increasing selectivity produce every trace of length
-1..max_len compatible with their share of the assumptions:
+1..max_len compatible with their share of the assumptions.  They share
+one pipeline: a source of first states, a successor function, and one
+per-state filter by the compiled global-state assumptions.
 
-* baseline    — the full product space, no assumptions consulted;
+* baseline    — the full product space; it compiles no assumption, so
+  the filter passes every state;
 * optimized   — products over the states that pass the global-state
   assumptions per state (the first state additionally passes the
   initial assumptions);
-* motion      — depth-first extension guided by the motion roles: a
-  static nominal keeps its cell, a fixed-motion nominal moves to the
-  cells from which some move path leads back to its previous cell, a
-  dependee ranges over the cells keeping its dependents on-grid,
-  dependents are placed by path completion, free nominals range over
-  everything.  Candidate states are filtered by the global-state
-  assumptions.  Every prefix is yielded before it is extended.
+* motion      — depth-first extension through per-slot successor tables
+  built from the motion roles: a static nominal keeps its cell, a
+  fixed-motion nominal moves to the cells from which some move path
+  leads back to its previous cell, a dependee ranges over the cells
+  keeping its dependents on-grid, free nominals range over everything;
+  dependents are placed by path completion.  Candidate states are
+  filtered by the global-state assumptions.
 
 Raw assumptions never influence generation.  The motion generator
 yields exactly the traces satisfying the non-raw assumptions (checked
 at every start position), which the test suite verifies against the
 baseline stream by brute force.
 
-Enumeration order is fully deterministic and documented: proposition
-assignments vary outermost (propositions in name order, each subset as
-an ascending bitmask over row-major cells), nominal placements vary
-innermost (nominals in name order, last nominal fastest, cells
-row-major), and shorter traces come before longer ones.
+Enumeration order is fully deterministic and documented.  Within one
+state, proposition assignments take the propositions in name order,
+each subset an ascending bitmask over row-major cells, and nominal
+placements take the nominals in name order, last nominal fastest, cells
+row-major.  Baseline and optimized vary the proposition assignments
+outermost and the placements innermost, and yield shorter traces
+first.  Motion's first states also vary the assignments outermost; its
+successor steps vary the placements outermost and the assignments
+innermost, depth-first, each prefix yielded before it is extended.
 
 Generators are lazy single-consumer streams; distinct runs may execute
 on parallel workers, and all shared inputs are immutable.
@@ -34,27 +41,16 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
-from .evaluator import EncodedState, compile_formula, encode_state
-from .formula import Formula, Top, desugar, is_core, symbols
-from .idioms import (
-    Assumption,
-    AssumptionSet,
-    GlobalState,
-    Initial,
-    RelativeMotion,
-    Role,
-    lower,
-    validate,
-)
+from .evaluator import EncodedState, _check_symbols, compile_formula
+from .formula import Formula, desugar, is_core, symbols
+from .idioms import Assumption, AssumptionSet, GlobalState, Role, lower, validate
 
 StopCheck = Callable[[], bool] | None
-
-_TOP = Top()
 
 
 class Algorithm(enum.Enum):
@@ -92,15 +88,7 @@ def make_config(
         raise ValidationError(f"max trace length must be >= 1, got {max_len}")
     validate(assumptions, noms)
     core_spec = spec if is_core(spec) else desugar(spec, grid)
-    usage = symbols(core_spec)
-    if usage.props - set(props):
-        raise ValidationError(
-            f"specification uses undeclared propositions {sorted(usage.props - set(props))}"
-        )
-    if usage.noms - set(noms):
-        raise ValidationError(
-            f"specification uses undeclared nominals {sorted(usage.noms - set(noms))}"
-        )
+    _check_symbols(core_spec, props, noms)
     return CheckerConfig(grid, props, noms, assumptions, core_spec, max_len, algorithm)
 
 
@@ -114,7 +102,7 @@ def _compile_assumption(
 ):
     """Compile a lowered assumption; returns (compiled formula, binder-slot count)."""
     f = desugar(lower(a), grid)
-    extras = tuple(sorted(symbols(f).bound - set(noms)))
+    extras = _check_symbols(f, props, noms)
     return compile_formula(f, grid, props, noms + extras), len(extras)
 
 
@@ -167,41 +155,51 @@ class _Context:
         self.props = props
         self.noms = noms
         self.nom_index = {n: i for i, n in enumerate(noms)}
-        self.roles: dict[str, Role] = validate(cfg.assumptions, noms)
+        # Baseline consults no assumption: its per-state filter passes everything.
+        aset = AssumptionSet() if cfg.algorithm is Algorithm.BASELINE else cfg.assumptions
+        self.roles: dict[str, Role] = validate(aset, noms)
 
-        aset = cfg.assumptions
         self.global_checks = [_compile_assumption(a, grid, props, noms) for a in aset.global_states]
         self.initial_checks = [_compile_assumption(a, grid, props, noms) for a in aset.initials]
         self.prop_masks = list(_iter_prop_masks(grid, aset.global_states, props))
-        self.all_cells = tuple(range(self.P))
 
-        # Motion machinery, keyed by nominal slot index.
-        self.kind: list[str] = ["free"] * len(noms)
-        self.fixed_succ: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self.dependee_cells: dict[int, tuple[int, ...]] = {}
-        self.dependents: list[tuple[int, int, tuple[int, ...]]] = []  # (slot, dependee slot, path table)
+        # Motion tables.  Per non-dependent slot: the cells of a first state,
+        # and per cell of the previous state the cells of the next one.
+        all_cells = tuple(range(self.P))
         cells = list(grid.positions())
+        self.non_dependent: list[int] = []
+        self.first_cells: list[tuple[int, ...]] = []
+        self.next_cells: list[tuple[tuple[int, ...], ...]] = []
+        self.dependents: list[tuple[int, int, tuple[int, ...]]] = []  # (slot, dependee slot, path table)
         for name, idx in self.nom_index.items():
             role = self.roles[name]
-            self.kind[idx] = role.kind
-            if role.kind == "fixed":
-                self.fixed_succ[idx] = _fixed_successor_table(grid, role.moves)
-            elif role.kind == "dependee":
-                paths = [a.path for a in aset.relative_motions if a.dependee == name]
-                self.dependee_cells[idx] = tuple(
-                    grid.index(p)
-                    for p in cells
-                    if all(apply_path(grid, p, path) is not None for path in paths)
-                )
-            elif role.kind == "dependent":
+            if role.kind == "dependent":
                 table = tuple(
                     -1 if (q := apply_path(grid, p, role.path)) is None else grid.index(q)
                     for p in cells
                 )
                 self.dependents.append((idx, self.nom_index[role.dependee], table))
-        self.non_dependent = tuple(i for i in range(len(noms)) if self.kind[i] != "dependent")
+                continue
+            first = all_cells
+            if role.kind == "static":
+                step = tuple((c,) for c in all_cells)
+            elif role.kind == "fixed":
+                step = _fixed_successor_table(grid, role.moves)
+            elif role.kind == "dependee":
+                paths = [a.path for a in aset.relative_motions if a.dependee == name]
+                first = tuple(
+                    grid.index(p)
+                    for p in cells
+                    if all(apply_path(grid, p, path) is not None for path in paths)
+                )
+                step = (first,) * self.P
+            else:
+                step = (all_cells,) * self.P
+            self.non_dependent.append(idx)
+            self.first_cells.append(first)
+            self.next_cells.append(step)
 
-        spec_extras = tuple(sorted(symbols(cfg.spec).bound - set(noms)))
+        spec_extras = _check_symbols(cfg.spec, props, noms)
         self.spec_compiled = compile_formula(cfg.spec, grid, props, noms + spec_extras)
         self.spec_extra = len(spec_extras)
 
@@ -249,49 +247,37 @@ class _Context:
             for nom_cells in itertools.product(range(self.P), repeat=len(self.noms)):
                 yield (masks, nom_cells)
 
-    def _complete(self, cells: list[int]) -> tuple[int, ...] | None:
-        for dep, dependee, table in self.dependents:
-            q = table[cells[dependee]]
-            if q < 0:
-                return None
-            cells[dep] = q
-        return tuple(cells)
+    def placements(self, choice_lists: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+        """Nominal cells for each choice of the non-dependent slots, in
+        product order, with the dependents completed; a choice pushing a
+        dependent off-grid is skipped."""
+        cells = [-1] * len(self.noms)
+        for placement in itertools.product(*choice_lists):
+            for idx, cell in zip(self.non_dependent, placement):
+                cells[idx] = cell
+            for dep, dependee, table in self.dependents:
+                cells[dep] = table[cells[dependee]]
+                if cells[dep] < 0:
+                    break
+            else:
+                yield tuple(cells)
 
     def iter_initial_states(self, stop: StopCheck = None) -> Iterator[EncodedState]:
         """First states: dependents completed, dependees kept feasible, the
         global and initial assumptions checked.  Static and fixed nominals
         are unconstrained in a length-1 trace."""
-        choice_lists = [
-            self.dependee_cells[idx] if self.kind[idx] == "dependee" else self.all_cells
-            for idx in self.non_dependent
-        ]
-        n = len(self.noms)
         for masks in self.prop_masks:
-            for placement in itertools.product(*choice_lists):
+            for nom_cells in self.placements(self.first_cells):
                 if stop is not None and stop():
                     return
-                cells = [-1] * n
-                for idx, cell in zip(self.non_dependent, placement):
-                    cells[idx] = cell
-                nom_cells = self._complete(cells)
-                if nom_cells is None:
-                    continue
                 enc = (masks, nom_cells)
                 if self.passes_global(enc) and self.passes_initial(enc):
                     yield enc
 
 
 # ---------------------------------------------------------------------------
-# Public operations
+# Closed forms
 # ---------------------------------------------------------------------------
-
-
-def enumerate_states(g: GridGraph, props: Iterable[str], noms: Iterable[str]) -> Iterator[State]:
-    """Every state, in the documented deterministic order."""
-    cfg = make_config(g, props, noms, AssumptionSet(), _TOP, 1, Algorithm.BASELINE)
-    ctx = _Context(cfg)
-    for enc in ctx.iter_all_states():
-        yield ctx.decode(enc)
 
 
 def state_count(g: GridGraph, n_props: int, n_noms: int) -> int:
@@ -305,108 +291,13 @@ def baseline_trace_count(g: GridGraph, n_props: int, n_noms: int, max_len: int) 
     return sum(s**k for k in range(1, max_len + 1))
 
 
-def generate_initial_states(
-    g: GridGraph,
-    assumptions: AssumptionSet,
-    props: Iterable[str] = (),
-    noms: Iterable[str] = (),
-) -> Iterator[State]:
-    """States satisfying the relative-motion and global assumptions (checked
-    on the single-state trace at every position), then the initial ones."""
-    cfg = make_config(g, props, noms, assumptions, _TOP, 1, Algorithm.MOTION)
-    ctx = _Context(cfg)
-    for enc in ctx.iter_initial_states():
-        yield ctx.decode(enc)
-
-
-def valid_dependee_positions(
-    g: GridGraph, relatives: Iterable[RelativeMotion], v: str
-) -> frozenset[Position]:
-    """Cells for ``v`` that keep every nominal dependent on it on-grid."""
-    paths = [a.path for a in relatives if a.dependee == v]
-    return frozenset(
-        p for p in g.positions() if all(apply_path(g, p, path) is not None for path in paths)
-    )
-
-
-def valid_prop_assignments(
-    g: GridGraph, global_states: Iterable[GlobalState], props: Iterable[str]
-) -> Iterator[dict[str, frozenset[Position]]]:
-    """Proposition maps that can still pass the proposition-only global
-    constraints; a cheap pre-filter, not the authoritative check."""
-    props = tuple(sorted(props))
-    for masks in _iter_prop_masks(g, tuple(global_states), props):
-        yield {
-            name: frozenset(g.position_at(i) for i in range(g.position_count) if masks[k] >> i & 1)
-            for k, name in enumerate(props)
-        }
-
-
-def complete_state(
-    g: GridGraph,
-    relatives: Iterable[RelativeMotion],
-    prop_map: Mapping[str, Iterable[Position]],
-    partial_noms: Mapping[str, Position],
-) -> State:
-    """Extend an assignment of all non-dependent nominals with the dependents.
-
-    The caller keeps dependees inside :func:`valid_dependee_positions`;
-    a dependent falling off-grid here is therefore an internal error.
-    """
-    noms = dict(partial_noms)
-    for a in relatives:
-        if a.dependee not in noms:
-            raise ValidationError(f"dependee {a.dependee!r} missing from the partial assignment")
-        q = apply_path(g, noms[a.dependee], a.path)
-        if q is None:
-            raise RuntimeError(
-                f"internal error: dependent {a.dependent!r} pushed off-grid from {noms[a.dependee]}"
-            )
-        noms[a.dependent] = q
-    return State(g, prop_map, noms)
-
-
-def check_global_assumptions(
-    g: GridGraph, s: State, assumptions: Iterable[GlobalState | Initial]
-) -> bool:
-    """True iff every lowered assumption holds on the one-state trace [s]
-    at every start position.  A sound per-state proxy for the trace-level
-    constraint because these formulas are per-state by construction."""
-    props = tuple(sorted(s.props))
-    noms = tuple(sorted(s.noms))
-    for a in assumptions:
-        compiled, n_extra = _compile_assumption(a, g, props, noms)
-        enc = encode_state(s, g, props, n_extra)
-        for p in range(g.position_count):
-            if not compiled.evaluate([enc], p):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Trace generators
 # ---------------------------------------------------------------------------
 
 
-def _iter_product_traces(
-    first: Sequence[EncodedState], rest: Sequence[EncodedState], max_len: int
-) -> Iterator[tuple[EncodedState, ...]]:
-    for k in range(1, max_len + 1):
-        if k == 1:
-            for s in first:
-                yield (s,)
-        else:
-            for head in first:
-                for tail in itertools.product(rest, repeat=k - 1):
-                    yield (head,) + tail
-
-
-def _iter_encoded_baseline(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
-    states = list(ctx.iter_all_states())
-    return _iter_product_traces(states, states, ctx.cfg.max_len)
-
-
 def _iter_encoded_optimized(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
+    """Products over the filtered states, shorter traces first."""
     step_states = []
     first_states = []
     for enc in ctx.iter_all_states():
@@ -416,43 +307,25 @@ def _iter_encoded_optimized(ctx: _Context, stop: StopCheck = None) -> Iterator[t
             step_states.append(enc)
             if ctx.passes_initial(enc):
                 first_states.append(enc)
-    yield from _iter_product_traces(first_states, step_states, ctx.cfg.max_len)
+    for k in range(ctx.cfg.max_len):
+        for head in first_states:
+            for tail in itertools.product(step_states, repeat=k):
+                yield (head,) + tail
 
 
 def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
     n = ctx.cfg.max_len
     prop_masks = ctx.prop_masks
-    non_dependent = ctx.non_dependent
-    kind = ctx.kind
-    nn = len(ctx.noms)
+    steps = tuple(zip(ctx.non_dependent, ctx.next_cells))
 
     def extend(k: int, state: EncodedState, trace: list[EncodedState]) -> Iterator[tuple[EncodedState, ...]]:
         yield tuple(trace)
         if k == n:
             return
-        choice_lists = []
-        for idx in non_dependent:
-            role = kind[idx]
-            if role == "static":
-                choice_lists.append((state[1][idx],))
-            elif role == "fixed":
-                succ = ctx.fixed_succ[idx][state[1][idx]]
-                if not succ:
-                    return  # this branch cannot be extended
-                choice_lists.append(succ)
-            elif role == "dependee":
-                choice_lists.append(ctx.dependee_cells[idx])
-            else:
-                choice_lists.append(ctx.all_cells)
-        for placement in itertools.product(*choice_lists):
+        cells = state[1]
+        for nom_cells in ctx.placements([table[cells[idx]] for idx, table in steps]):
             if stop is not None and stop():
                 return
-            cells = [-1] * nn
-            for idx, cell in zip(non_dependent, placement):
-                cells[idx] = cell
-            nom_cells = ctx._complete(cells)
-            if nom_cells is None:
-                continue
             for masks in prop_masks:
                 enc = (masks, nom_cells)
                 if ctx.passes_global(enc):
@@ -464,36 +337,33 @@ def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tupl
         yield from extend(1, init, [init])
 
 
-_ENCODED_GENERATORS = {
-    Algorithm.BASELINE: _iter_encoded_baseline,
-    Algorithm.OPTIMIZED: _iter_encoded_optimized,
-    Algorithm.MOTION: _iter_encoded_motion,
-}
+def _iter_encoded(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
+    if ctx.cfg.algorithm is Algorithm.MOTION:
+        return _iter_encoded_motion(ctx, stop)
+    return _iter_encoded_optimized(ctx, stop)
 
 
-def _materialize(ctx: _Context, encoded: Iterator[tuple[EncodedState, ...]]) -> Iterator[Trace]:
-    for enc_trace in encoded:
-        yield ctx.decode_trace(enc_trace)
+def _traces(cfg: CheckerConfig) -> Iterator[Trace]:
+    ctx = _Context(cfg)
+    return (ctx.decode_trace(enc_trace) for enc_trace in _iter_encoded(ctx))
 
 
 def generate_traces_baseline(cfg: CheckerConfig) -> Iterator[Trace]:
-    """All state sequences of length 1..max_len, shorter first."""
-    ctx = _Context(cfg)
-    return _materialize(ctx, _iter_encoded_baseline(ctx))
+    """All state sequences of length 1..max_len, shorter first; the
+    assumptions are ignored whatever ``cfg.algorithm`` says."""
+    return _traces(replace(cfg, algorithm=Algorithm.BASELINE))
 
 
 def generate_traces_optimized(cfg: CheckerConfig) -> Iterator[Trace]:
     """Baseline restricted to states passing the global (and, for the first
     state, initial) assumptions."""
-    ctx = _Context(cfg)
-    return _materialize(ctx, _iter_encoded_optimized(ctx))
+    return _traces(replace(cfg, algorithm=Algorithm.OPTIMIZED))
 
 
 def generate_traces_motion(cfg: CheckerConfig) -> Iterator[Trace]:
     """Depth-first extension guided by the motion assumptions; yields exactly
     the traces of length 1..max_len satisfying every non-raw assumption."""
-    ctx = _Context(cfg)
-    return _materialize(ctx, _iter_encoded_motion(ctx))
+    return _traces(replace(cfg, algorithm=Algorithm.MOTION))
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +408,7 @@ class CheckResult:
 
         compiled = ctx.spec_compiled
         zeros = (0,) * ctx.spec_extra
-        generator = _ENCODED_GENERATORS[self.cfg.algorithm](ctx, stop)
-        for enc_trace in generator:
+        for enc_trace in _iter_encoded(ctx, stop):
             if stop is not None and stop():
                 return
             self.traces_generated += 1
@@ -571,7 +440,7 @@ def trace_count_bound(cfg: CheckerConfig) -> int:
     static or dependent nominals, |moves| for fixed motion, and the cell
     count otherwise.
     """
-    ctx = _Context(cfg)
+    ctx = _Context(replace(cfg, algorithm=Algorithm.MOTION))
     s = sum(1 for _ in ctx.iter_initial_states())
     factor = len(ctx.prop_masks)
     for name in cfg.noms:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import (
     DIRECTIONS,
@@ -245,19 +246,23 @@ def encode_state(s: State, g: GridGraph, prop_order: tuple[str, ...], n_extra: i
     return tuple(bits), noms
 
 
+def _check_symbols(f: Formula, props: Iterable[str], noms: Iterable[str]) -> tuple[str, ...]:
+    """Raise on undeclared free propositions or nominals; return the
+    binder-introduced nominals, sorted (they need no declaration)."""
+    usage = symbols(f)
+    missing = usage.props.difference(props)
+    if missing:
+        raise ValidationError(f"formula uses undeclared propositions {sorted(missing)}")
+    missing = usage.noms.difference(noms)
+    if missing:
+        raise ValidationError(f"formula uses undeclared nominals {sorted(missing)}")
+    return tuple(sorted(usage.bound.difference(noms)))
+
+
 def _prepare(g: GridGraph, t: Trace, f: Formula) -> tuple[CompiledFormula, list[EncodedState]]:
     if t.grid != g:
         raise ValidationError(f"trace is over a {t.grid.rows}x{t.grid.cols} grid, not {g.rows}x{g.cols}")
-    usage = symbols(f)
-    declared_props = frozenset(t.prop_names)
-    declared_noms = frozenset(t.nominal_names)
-    missing = usage.props - declared_props
-    if missing:
-        raise ValidationError(f"formula uses undeclared propositions {sorted(missing)}")
-    missing = usage.noms - declared_noms
-    if missing:
-        raise ValidationError(f"formula uses undeclared nominals {sorted(missing)}")
-    extras = tuple(sorted(usage.bound - declared_noms))
+    extras = _check_symbols(f, t.prop_names, t.nominal_names)
     compiled = compile_formula(f, g, t.prop_names, t.nominal_names + extras)
     states = [encode_state(s, g, t.prop_names, len(extras)) for s in t.states]
     return compiled, states
@@ -297,21 +302,14 @@ def evaluate_naive(g: GridGraph, t: Trace, p: Position, f: Formula) -> bool:
         raise ValidationError("trace grid does not match the supplied grid")
     if not is_core(f):
         raise ValidationError("formula must be desugared before evaluation")
-    usage = symbols(f)
-    declared_props = frozenset(t.prop_names)
-    declared_noms = frozenset(t.nominal_names)
-    if usage.props - declared_props:
-        raise ValidationError(f"formula uses undeclared propositions {sorted(usage.props - declared_props)}")
-    if usage.noms - declared_noms:
-        raise ValidationError(f"formula uses undeclared nominals {sorted(usage.noms - declared_noms)}")
-    extras = sorted(usage.bound - declared_noms)
+    extras = _check_symbols(f, t.prop_names, t.nominal_names)
     if extras:
         placeholder = Position(1, 1)
         t = Trace([_state_with_extras(s, extras, placeholder) for s in t.states])
     return _naive(g, t, p, f)
 
 
-def _state_with_extras(s: State, extras: list[str], placeholder: Position) -> State:
+def _state_with_extras(s: State, extras: tuple[str, ...], placeholder: Position) -> State:
     noms = dict(s.noms)
     for name in extras:
         noms[name] = placeholder

@@ -11,19 +11,23 @@ all traces up to max_len over the full state space.
 
 The non-validities are refutable schemes — ``@`` is time-sensitive and
 neither ``@`` nor the binder commutes with the future or spatial
-modalities — and for each the suite searches the same model space for a
-countermodel, stopping at the first hit.
+modalities.
+
+Every law goes through the same search: the baseline satisfaction
+stream of its negation, grid by grid, stopping at the first emission.
+That trace and its lowest-index satisfying cell are the countermodel;
+a validity holds when the search finds none.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .core import GridGraph, Position, State, Trace, make_grid
+from .checkers import Algorithm, make_config, sat_traces
+from .core import GridGraph, Position, Trace, make_grid
 from .errors import ValidationError
-from .evaluator import compile_formula
-from .formula import desugar, parse
+from .formula import Not, parse
+from .idioms import AssumptionSet
 
 _PROPS = frozenset({"q"})
 _NOMS = frozenset({"a", "b"})
@@ -127,37 +131,21 @@ class ValidityReport:
         return "\n".join(lines)
 
 
-def _decode_state(g: GridGraph, mask: int, na: int, nb: int) -> State:
-    cells = list(g.positions())
-    return State(
-        g,
-        {"q": frozenset(c for i, c in enumerate(cells) if mask >> i & 1)},
-        {"a": cells[na], "b": cells[nb]},
-    )
-
-
-def _iter_models(g: GridGraph, max_len: int):
-    """All encoded traces up to max_len over 1 proposition and 2 nominals."""
-    n_pos = g.position_count
-    states = [
-        ((mask,), (na, nb))
-        for mask in range(1 << n_pos)
-        for na in range(n_pos)
-        for nb in range(n_pos)
-    ]
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(states, repeat=length):
-            yield combo
-
-
-def _materialize(g: GridGraph, enc_trace) -> Trace:
-    return Trace([_decode_state(g, masks[0], noms[0], noms[1]) for masks, noms in enc_trace])
-
-
 def _grids(max_rows: int, max_cols: int):
     for rows in range(1, max_rows + 1):
         for cols in range(1, max_cols + 1):
             yield make_grid(rows, cols)
+
+
+def _countermodel(text: str, max_rows: int, max_cols: int, max_len: int) -> Countermodel | None:
+    """The first model, grid by grid in baseline order, on which the law
+    fails at some cell; None when it holds on every model."""
+    refutation = Not(parse(text, _PROPS, _NOMS))
+    for g in _grids(max_rows, max_cols):
+        cfg = make_config(g, _PROPS, _NOMS, AssumptionSet(), refutation, max_len, Algorithm.BASELINE)
+        for trace, points in sat_traces(cfg):
+            return Countermodel(g, trace, min(points, key=g.index))
+    return None
 
 
 def validity_suite(max_rows: int, max_cols: int, max_len: int) -> ValidityReport:
@@ -165,47 +153,10 @@ def validity_suite(max_rows: int, max_cols: int, max_len: int) -> ValidityReport
     if max_rows < 1 or max_cols < 1 or max_len < 1:
         raise ValidationError("validity suite bounds must all be >= 1")
 
-    validity_state: dict[str, LawOutcome] = {
-        name: LawOutcome(name, True) for name, _ in validity_laws()
-    }
-    searches: dict[str, Countermodel | None] = {name: None for name, _ in non_validity_laws()}
-
-    for g in _grids(max_rows, max_cols):
-        n_pos = g.position_count
-        compiled_validities = [
-            (name, compile_formula(desugar(parse(text, _PROPS, _NOMS), g), g, ("q",), ("a", "b")))
-            for name, text in validity_laws()
-        ]
-        compiled_searches = [
-            (name, compile_formula(desugar(parse(text, _PROPS, _NOMS), g), g, ("q",), ("a", "b")))
-            for name, text in non_validity_laws()
-        ]
-        for enc_trace in _iter_models(g, max_len):
-            states = list(enc_trace)
-            for name, compiled in compiled_validities:
-                if not validity_state[name].holds:
-                    continue
-                sat = compiled.sat_point_indices(states)
-                if len(sat) != n_pos:
-                    bad = next(p for p in range(n_pos) if p not in set(sat))
-                    validity_state[name] = LawOutcome(
-                        name,
-                        False,
-                        Countermodel(g, _materialize(g, enc_trace), g.position_at(bad)),
-                    )
-            for name, compiled in compiled_searches:
-                if searches[name] is not None:
-                    continue
-                sat = compiled.sat_point_indices(states)
-                if len(sat) != n_pos:
-                    bad = next(p for p in range(n_pos) if p not in set(sat))
-                    searches[name] = Countermodel(
-                        g, _materialize(g, enc_trace), g.position_at(bad)
-                    )
+    def search(laws):
+        return [(name, _countermodel(text, max_rows, max_cols, max_len)) for name, text in laws]
 
     return ValidityReport(
-        validities=tuple(validity_state[name] for name, _ in validity_laws()),
-        non_validities=tuple(
-            SearchOutcome(name, searches[name]) for name, _ in non_validity_laws()
-        ),
+        validities=tuple(LawOutcome(name, c is None, c) for name, c in search(validity_laws())),
+        non_validities=tuple(SearchOutcome(name, c) for name, c in search(non_validity_laws())),
     )

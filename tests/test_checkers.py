@@ -13,10 +13,6 @@ from conftest import (
 from hstl.checkers import (
     Algorithm,
     baseline_trace_count,
-    check_global_assumptions,
-    complete_state,
-    enumerate_states,
-    generate_initial_states,
     generate_traces_baseline,
     generate_traces_motion,
     generate_traces_optimized,
@@ -24,10 +20,8 @@ from hstl.checkers import (
     sat_traces,
     state_count,
     trace_count_bound,
-    valid_dependee_positions,
-    valid_prop_assignments,
 )
-from hstl.core import Direction, Position, State, make_grid
+from hstl.core import Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
 from hstl.evaluator import evaluate, sat_points
 from hstl.formula import Nom, Not, Top, desugar, parse
@@ -54,6 +48,19 @@ def every_point_satisfies(g, t, formulas):
     return all(evaluate(g, t, p, f) for f in formulas for p in g.positions())
 
 
+def one_state_stream(generator, g, props, noms, aset, algorithm):
+    """The states of a generator's length-1 traces, in stream order."""
+    return [t.states[0] for t in generator(cfg_of(g, props, noms, aset, 1, algorithm))]
+
+
+def all_states(g, props, noms):
+    return one_state_stream(generate_traces_baseline, g, props, noms, AssumptionSet(), Algorithm.BASELINE)
+
+
+def first_states(g, aset, props, noms):
+    return one_state_stream(generate_traces_motion, g, props, noms, aset, Algorithm.MOTION)
+
+
 def brute_force_filter(g, props, noms, aset, max_len, assumptions):
     """Baseline traces on which every lowered assumption holds everywhere."""
     lowered = [desugar(lower(a), g) for a in assumptions]
@@ -63,14 +70,14 @@ def brute_force_filter(g, props, noms, aset, max_len, assumptions):
 
 class TestEnumerateStates:
     def test_counts(self):
-        assert sum(1 for _ in enumerate_states(make_grid(2, 2), ["h"], ["z0", "z1"])) == 256
+        assert sum(1 for _ in all_states(make_grid(2, 2), ["h"], ["z0", "z1"])) == 256
         assert state_count(make_grid(2, 2), 1, 2) == 256
-        assert sum(1 for _ in enumerate_states(make_grid(3, 3), [], ["z"])) == 9
-        assert sum(1 for _ in enumerate_states(make_grid(3, 1), [], ["z0", "z1"])) == 9
+        assert sum(1 for _ in all_states(make_grid(3, 3), [], ["z"])) == 9
+        assert sum(1 for _ in all_states(make_grid(3, 1), [], ["z0", "z1"])) == 9
 
     def test_order_is_documented(self):
         g = make_grid(2, 1)
-        states = list(enumerate_states(g, ["h"], ["z0", "z1"]))
+        states = list(all_states(g, ["h"], ["z0", "z1"]))
         # Propositions vary outermost: the first block has h empty everywhere.
         assert states[0].props["h"] == frozenset()
         assert states[0].noms == {"z0": Position(1, 1), "z1": Position(1, 1)}
@@ -81,7 +88,7 @@ class TestEnumerateStates:
         assert states[4].props["h"] == frozenset({Position(1, 1)})
 
     def test_distinct(self):
-        states = list(enumerate_states(make_grid(2, 2), ["h"], ["z"]))
+        states = list(all_states(make_grid(2, 2), ["h"], ["z"]))
         assert len(states) == len(set(states)) == 64
 
 
@@ -160,18 +167,18 @@ class TestOptimized:
 class TestInitialStates:
     def test_unconstrained(self):
         g = make_grid(2, 2)
-        states = list(generate_initial_states(g, AssumptionSet(), [], ["z0", "z1"]))
+        states = list(first_states(g, AssumptionSet(), [], ["z0", "z1"]))
         assert len(states) == 16
 
     def test_relative_motion_pins_dependent(self):
         g = make_grid(3, 1)
         aset = AssumptionSet([RelativeMotion("z0", "z1", (F,))])
-        got = set(generate_initial_states(g, aset, [], ["z0", "z1"]))
+        got = set(first_states(g, aset, [], ["z0", "z1"]))
         lowered = desugar(lower(aset.relative_motions[0]), g)
         want = {
             s
-            for s in enumerate_states(g, [], ["z0", "z1"])
-            if every_point_satisfies(g, __import__("hstl").core.Trace([s]), [lowered])
+            for s in all_states(g, [], ["z0", "z1"])
+            if every_point_satisfies(g, Trace([s]), [lowered])
         }
         assert got == want
         assert len(got) == 2
@@ -180,83 +187,90 @@ class TestInitialStates:
         g = make_grid(3, 1)
         rear = parse("@z0 !(Back 1)", frozenset(), frozenset({"z0", "z1"}))
         aset = AssumptionSet([Initial(rear)])
-        states = list(generate_initial_states(g, aset, [], ["z0", "z1"]))
+        states = list(first_states(g, aset, [], ["z0", "z1"]))
         assert len(states) == 3
         assert all(s.noms["z0"] == Position(1, 1) for s in states)
 
     def test_unanchored_initial_is_checked_at_every_cell(self):
         g = make_grid(1, 2)
         aset = AssumptionSet([Initial(parse("q", frozenset({"q"}), frozenset()))])
-        states = list(generate_initial_states(g, aset, ["q"], ["z"]))
+        states = list(first_states(g, aset, ["q"], ["z"]))
         # Only the assignment making q true everywhere survives.
         assert len(states) == 2
         assert all(s.props["q"] == frozenset(g.positions()) for s in states)
 
 
 class TestHelpers:
-    def test_valid_dependee_positions(self):
-        g = make_grid(3, 1)
-        rel = [RelativeMotion("z0", "z1", (F,))]
-        assert valid_dependee_positions(g, rel, "z0") == frozenset(
-            {Position(1, 1), Position(2, 1)}
-        )
-        assert valid_dependee_positions(g, [], "z0") == frozenset(g.positions())
-        both = [RelativeMotion("z0", "z1", (F,)), RelativeMotion("z0", "z2", (B,))]
-        assert valid_dependee_positions(g, both, "z0") == frozenset({Position(2, 1)})
+    """Per-state tables, read off the streams at max_len 1."""
 
-    def test_valid_prop_assignments(self):
+    def test_dependee_cells_keep_dependents_on_grid(self):
+        g = make_grid(3, 1)
+        rel = AssumptionSet([RelativeMotion("z0", "z1", (F,))])
+        assert {s.noms["z0"] for s in first_states(g, rel, [], ["z0", "z1"])} == {
+            Position(1, 1),
+            Position(2, 1),
+        }
+        assert {s.noms["z0"] for s in first_states(g, AssumptionSet(), [], ["z0"])} == set(
+            g.positions()
+        )
+        both = AssumptionSet([RelativeMotion("z0", "z1", (F,)), RelativeMotion("z0", "z2", (B,))])
+        assert {s.noms["z0"] for s in first_states(g, both, [], ["z0", "z1", "z2"])} == {
+            Position(2, 1)
+        }
+
+    def test_first_states_keep_every_prop_mask(self):
         g = make_grid(2, 2)
-        assert list(valid_prop_assignments(g, [], [])) == [{}]
-        assert sum(1 for _ in valid_prop_assignments(g, [], ["h"])) == 16
-        nominal_only = [GlobalState("z0", Not(Nom("z1")))]
-        assert sum(1 for _ in valid_prop_assignments(g, nominal_only, ["h"])) == 16
+        assert [s.props for s in first_states(g, AssumptionSet(), [], [])] == [{}]
+        assert len({s.props["h"] for s in first_states(g, AssumptionSet(), ["h"], ["z0"])}) == 16
+        nominal_only = AssumptionSet([GlobalState("z0", Not(Nom("z1")))])
+        assert len({s.props["h"] for s in first_states(g, nominal_only, ["h"], ["z0", "z1"])}) == 16
 
     def test_prop_only_global_filters_assignments(self):
         g = make_grid(2, 2)
-        hazard_somewhere = [GlobalState("z0", parse("h", frozenset({"h"}), frozenset()))]
-        kept = list(valid_prop_assignments(g, hazard_somewhere, ["h"]))
+        hazard_somewhere = AssumptionSet([GlobalState("z0", parse("h", frozenset({"h"}), frozenset()))])
+        kept = {s.props["h"] for s in first_states(g, hazard_somewhere, ["h"], ["z0"])}
         # The all-empty assignment can never satisfy "h at the viewpoint car".
         assert len(kept) == 15
-        assert {} not in [dict(m) for m in kept] or all(m["h"] for m in kept)
+        assert frozenset() not in kept
 
-    def test_complete_state(self):
+    def test_dependents_are_completed(self):
         g = make_grid(3, 1)
-        rel = [RelativeMotion("z0", "z1", (F,))]
-        s = complete_state(g, rel, {}, {"z0": Position(1, 1)})
-        assert s.noms == {"z0": Position(1, 1), "z1": Position(2, 1)}
-        bare = complete_state(g, [], {}, {"z0": Position(2, 1)})
-        assert bare.noms == {"z0": Position(2, 1)}
-        with pytest.raises(RuntimeError):
-            complete_state(g, rel, {}, {"z0": Position(3, 1)})
+        rel = AssumptionSet([RelativeMotion("z0", "z1", (F,))])
+        placed = {s.noms["z0"]: s.noms["z1"] for s in first_states(g, rel, [], ["z0", "z1"])}
+        # A dependee on the front row would push z1 off-grid: no state.
+        assert placed == {Position(1, 1): Position(2, 1), Position(2, 1): Position(3, 1)}
+        bare = first_states(g, AssumptionSet(), [], ["z0"])
+        assert {"z0": Position(2, 1)} in [s.noms for s in bare]
 
-    def test_complete_state_two_dependents_cross_check(self):
+    def test_two_dependents_cross_check(self):
         g = make_grid(3, 2)
         rel = [
             RelativeMotion("z0", "z1", (F,)),
             RelativeMotion("z0", "z2", (R,)),
         ]
         lowered = [desugar(lower(a), g) for a in rel]
-        from hstl.core import Trace
-
         expected = {
             s
-            for s in enumerate_states(g, [], ["z0", "z1", "z2"])
+            for s in all_states(g, [], ["z0", "z1", "z2"])
             if every_point_satisfies(g, Trace([s]), lowered)
         }
-        built = {
-            complete_state(g, rel, {}, {"z0": p})
-            for p in valid_dependee_positions(g, rel, "z0")
-        }
+        built = set(first_states(g, AssumptionSet(rel), [], ["z0", "z1", "z2"]))
         assert built == expected
 
-    def test_check_global_assumptions(self):
+    def test_optimized_filter_checks_global_assumptions(self):
         g = make_grid(2, 2)
         apart = State(g, {}, {"z0": Position(1, 1), "z1": Position(2, 2)})
         together = State(g, {}, {"z0": Position(1, 1), "z1": Position(1, 1)})
-        no_collide = [GlobalState("z0", Not(Nom("z1")))]
-        assert check_global_assumptions(g, apart, [])
-        assert check_global_assumptions(g, apart, no_collide)
-        assert not check_global_assumptions(g, together, no_collide)
+        no_collide = AssumptionSet([GlobalState("z0", Not(Nom("z1")))])
+
+        def passing(aset):
+            return one_state_stream(
+                generate_traces_optimized, g, [], ["z0", "z1"], aset, Algorithm.OPTIMIZED
+            )
+
+        assert apart in passing(AssumptionSet())
+        assert apart in passing(no_collide)
+        assert together not in passing(no_collide)
 
 
 class TestMotion:
