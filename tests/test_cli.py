@@ -104,6 +104,18 @@ class TestCheck:
         assert code == 0
         assert "16" in capsys.readouterr().out  # one-step candidates only
 
+    @pytest.mark.parametrize("algorithm", ["baseline", "optimized", "motion"])
+    @pytest.mark.parametrize("name", ["hazard_2", "intersection_2", "one_lane_follow_3", "passing_2"])
+    def test_emitted_traces_are_pinned(self, name, algorithm, capsys):
+        # These specifications use binders and bounded spatial operators; the
+        # golden files pin every emitted trace and satisfying cell.
+        root = Path(__file__).parent
+        scenario = root.parent / "scenarios" / f"{name}.json"
+        golden = root / "golden" / f"check_{name}_{algorithm}.txt"
+        code = main(["check", "--scenario", str(scenario), "--algorithm", algorithm, "--emit", "traces"])
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 class TestRender:
     def test_renders_frames(self, trace_file, capsys):

@@ -184,6 +184,25 @@ class TestValidation:
         with pytest.raises(ValidationError):
             evaluate_naive(g, t, Position(1, 1), Nom("y"))
 
+    def test_undeclared_nominal_both_free_and_bound_raises(self):
+        # The binder gives ``z`` a slot, but its free occurrence reads an
+        # undeclared nominal; a check per compiled slot would let it pass.
+        from hstl.checkers import Algorithm, make_config
+        from hstl.idioms import AssumptionSet
+
+        g = make_grid(2, 1)
+        t = Trace([State(g, {}, {"y": Position(1, 1)})])
+        f = And(Nom("z"), Bind("z", Nom("z")))
+        with pytest.raises(ValidationError):
+            evaluate(g, t, Position(1, 1), f)
+        with pytest.raises(ValidationError):
+            sat_points(g, t, f)
+        with pytest.raises(ValidationError):
+            evaluate_naive(g, t, Position(1, 1), f)
+        for algorithm in Algorithm:
+            with pytest.raises(ValidationError):
+                make_config(g, [], ["y"], AssumptionSet(), f, 1, algorithm)
+
     def test_sugar_rejected(self):
         from hstl.formula import Eventually
 
