@@ -46,9 +46,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
-from .evaluator import EncodedState, _check_symbols, compile_formula
+from .evaluator import EncodedState, compile_formula
 from .formula import Formula, desugar, is_core, symbols
-from .idioms import Assumption, AssumptionSet, GlobalState, Role, lower, validate
+from .idioms import AssumptionSet, GlobalState, Role, lower, validate
 
 StopCheck = Callable[[], bool] | None
 
@@ -88,7 +88,7 @@ def make_config(
         raise ValidationError(f"max trace length must be >= 1, got {max_len}")
     validate(assumptions, noms)
     core_spec = spec if is_core(spec) else desugar(spec, grid)
-    _check_symbols(core_spec, props, noms)
+    compile_formula(core_spec, grid, props, noms)  # raises on undeclared symbols
     return CheckerConfig(grid, props, noms, assumptions, core_spec, max_len, algorithm)
 
 
@@ -97,29 +97,27 @@ def make_config(
 # ---------------------------------------------------------------------------
 
 
-def _compile_assumption(
-    a: Assumption, grid: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]
-):
-    """Compile a lowered assumption; returns (compiled formula, binder-slot count)."""
-    f = desugar(lower(a), grid)
-    extras = _check_symbols(f, props, noms)
-    return compile_formula(f, grid, props, noms + extras), len(extras)
+def _all_prop_masks(n_pos: int, n_props: int) -> Iterator[tuple[int, ...]]:
+    """Every proposition assignment, in product order.  product() copies its
+    2^n_pos masks up front; with one proposition they are streamed instead."""
+    masks = range(1 << n_pos)
+    return ((m,) for m in masks) if n_props == 1 else itertools.product(masks, repeat=n_props)
 
 
 def _iter_prop_masks(
-    grid: GridGraph, global_states: Sequence[GlobalState], props: Sequence[str]
+    grid: GridGraph, global_states: Sequence[GlobalState], props: tuple[str, ...]
 ) -> Iterator[tuple[int, ...]]:
-    """Proposition assignments that can still pass the proposition-only global
-    constraints.  An over-approximation: the per-state check downstream stays
-    authoritative.  With no propositions, exactly the empty assignment."""
-    props = tuple(sorted(props))
+    """Proposition assignments (``props`` sorted) that can still pass the
+    proposition-only global constraints.  An over-approximation: the per-state
+    check downstream stays authoritative.  With no propositions, exactly the
+    empty assignment."""
     prop_only = []
     for a in global_states:
         usage = symbols(a.formula)
         if usage.props and not usage.noms and not usage.bound:
             prop_only.append(compile_formula(desugar(a.formula, grid), grid, props, ()))
     n_pos = grid.position_count
-    for masks in itertools.product(range(1 << n_pos), repeat=len(props)):
+    for masks in _all_prop_masks(n_pos, len(props)):
         state = [(masks, ())]
         if all(any(c.evaluate(state, p) for p in range(n_pos)) for c in prop_only):
             yield masks
@@ -159,12 +157,16 @@ class _Context:
         aset = AssumptionSet() if cfg.algorithm is Algorithm.BASELINE else cfg.assumptions
         self.roles: dict[str, Role] = validate(aset, noms)
 
-        self.global_checks = [_compile_assumption(a, grid, props, noms) for a in aset.global_states]
-        self.initial_checks = [_compile_assumption(a, grid, props, noms) for a in aset.initials]
-        self.prop_masks = list(_iter_prop_masks(grid, aset.global_states, props))
+        self.global_checks, self.initial_checks = (
+            [compile_formula(desugar(lower(a), grid), grid, props, noms) for a in group]
+            for group in (aset.global_states, aset.initials)
+        )
 
-        # Motion tables.  Per non-dependent slot: the cells of a first state,
-        # and per cell of the previous state the cells of the next one.
+        # Motion tables.  The proposition assignments (up to 2^(cells*props);
+        # only motion reads them); per non-dependent slot, the cells of a
+        # first state and per cell of the previous state those of the next.
+        motion = cfg.algorithm is Algorithm.MOTION
+        self.prop_masks = list(_iter_prop_masks(grid, aset.global_states, props)) if motion else []
         all_cells = tuple(range(self.P))
         cells = list(grid.positions())
         self.non_dependent: list[int] = []
@@ -199,26 +201,23 @@ class _Context:
             self.first_cells.append(first)
             self.next_cells.append(step)
 
-        spec_extras = _check_symbols(cfg.spec, props, noms)
-        self.spec_compiled = compile_formula(cfg.spec, grid, props, noms + spec_extras)
-        self.spec_extra = len(spec_extras)
+        self.spec_compiled = compile_formula(cfg.spec, grid, props, noms)
 
         self._decoded: dict[EncodedState, State] = {}
 
     # -- state-level checks ---------------------------------------------------
 
-    def _passes(self, enc: EncodedState, checks) -> bool:
-        for compiled, n_extra in checks:
-            states = [(enc[0], enc[1] + (0,) * n_extra)] if n_extra else [enc]
-            if not compiled.holds_everywhere(states):
+    def passes_global(self, enc: EncodedState) -> bool:
+        for check in self.global_checks:
+            if not check.holds_everywhere([enc]):
                 return False
         return True
 
-    def passes_global(self, enc: EncodedState) -> bool:
-        return self._passes(enc, self.global_checks)
-
     def passes_initial(self, enc: EncodedState) -> bool:
-        return self._passes(enc, self.initial_checks)
+        for check in self.initial_checks:
+            if not check.holds_everywhere([enc]):
+                return False
+        return True
 
     # -- encoding / decoding ----------------------------------------------------
 
@@ -243,7 +242,7 @@ class _Context:
     # -- state enumeration --------------------------------------------------------
 
     def iter_all_states(self) -> Iterator[EncodedState]:
-        for masks in itertools.product(range(1 << self.P), repeat=len(self.props)):
+        for masks in _all_prop_masks(self.P, len(self.props)):
             for nom_cells in itertools.product(range(self.P), repeat=len(self.noms)):
                 yield (masks, nom_cells)
 
@@ -407,16 +406,11 @@ class CheckResult:
                 return False
 
         compiled = ctx.spec_compiled
-        zeros = (0,) * ctx.spec_extra
         for enc_trace in _iter_encoded(ctx, stop):
             if stop is not None and stop():
                 return
             self.traces_generated += 1
-            if zeros:
-                states = [(masks, noms + zeros) for masks, noms in enc_trace]
-            else:
-                states = list(enc_trace)
-            sat = compiled.sat_point_indices(states)
+            sat = compiled.sat_point_indices(list(enc_trace))
             if sat:
                 self.traces_satisfying += 1
                 yield (

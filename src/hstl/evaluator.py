@@ -93,9 +93,11 @@ class EvalStats:
 class CompiledFormula:
     """A core formula flattened for fast evaluation over one grid.
 
-    ``nom_order`` lists the nominal slots of encoded states: the trace's
-    declared nominals followed by binder-introduced ones (which start on
-    a placeholder cell and are only ever read after being bound).
+    Compiling checks the names once: free propositions and nominals must
+    be declared in ``props``/``noms``.  A nominal that only a binder
+    introduces gets a slot after the declared ones; the evaluation
+    methods append ``pad`` (placeholder cells, never read before the
+    binder writes them), so callers encode states over ``noms`` only.
 
     The memo can hold at most trace-length * node-count * cell-count
     entries.  Unless a temporal operator sits below an ``@`` whose
@@ -104,13 +106,14 @@ class CompiledFormula:
     are actually written.
     """
 
-    __slots__ = ("grid", "prop_order", "nom_order", "n_nodes", "kinds", "args", "args2", "aux", "nbr")
+    __slots__ = ("grid", "pad", "n_nodes", "kinds", "args", "args2", "aux", "nbr")
 
-    def __init__(self, f: Formula, g: GridGraph, prop_order: tuple[str, ...], nom_order: tuple[str, ...]):
+    def __init__(self, f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]):
+        extras = _check_symbols(f, props, noms)
         if not is_core(f):
             raise ValidationError("formula must be desugared before evaluation")
-        prop_index = {name: i for i, name in enumerate(prop_order)}
-        nom_index = {name: i for i, name in enumerate(nom_order)}
+        prop_index = {name: i for i, name in enumerate(props)}
+        nom_index = {name: i for i, name in enumerate(noms + extras)}
         table = index_nodes(f)
         n = len(table)
         kinds, args, args2, aux = [0] * n, [0] * n, [0] * n, [0] * n
@@ -120,12 +123,8 @@ class CompiledFormula:
             if isinstance(node, Top):
                 kinds[nid] = _TOP
             elif isinstance(node, Prop):
-                if node.name not in prop_index:
-                    raise ValidationError(f"undeclared proposition {node.name!r}")
                 kinds[nid], aux[nid] = _PROP, prop_index[node.name]
             elif isinstance(node, Nom):
-                if node.name not in nom_index:
-                    raise ValidationError(f"undeclared nominal {node.name!r}")
                 kinds[nid], aux[nid] = _NOM, nom_index[node.name]
             elif isinstance(node, Not):
                 kinds[nid], args[nid] = _NOT, kids[0]
@@ -138,14 +137,11 @@ class CompiledFormula:
             elif isinstance(node, Spatial):
                 kinds[nid], args[nid], aux[nid] = _SPATIAL, kids[0], _DIR_INDEX[node.direction]
             elif isinstance(node, At):
-                if node.nominal not in nom_index:
-                    raise ValidationError(f"undeclared nominal {node.nominal!r}")
                 kinds[nid], args[nid], aux[nid] = _AT, kids[0], nom_index[node.nominal]
             else:  # Bind
                 kinds[nid], args[nid], aux[nid] = _BIND, kids[0], nom_index[node.nominal]
         self.grid = g
-        self.prop_order = prop_order
-        self.nom_order = nom_order
+        self.pad = (0,) * len(extras)
         self.n_nodes = n
         self.kinds = tuple(kinds)
         self.args = tuple(args)
@@ -204,7 +200,13 @@ class CompiledFormula:
     def _fresh_memo(self, states: list[EncodedState]) -> list[bool | None]:
         return [None] * (len(states) * self.n_nodes * self.grid.position_count)
 
+    def _padded(self, states: list[EncodedState]) -> list[EncodedState]:
+        """Append the binder slots' placeholder cells to each state."""
+        pad = self.pad
+        return [(props, noms + pad) for props, noms in states] if pad else states
+
     def evaluate(self, states: list[EncodedState], p: int, stats: EvalStats | None = None) -> bool:
+        states = self._padded(states)
         memo = self._fresh_memo(states)
         result = self._make_evaluator(states, memo)(0, 0, p, states)
         if stats is not None:
@@ -215,12 +217,14 @@ class CompiledFormula:
 
     def sat_point_indices(self, states: list[EncodedState]) -> list[int]:
         """Start cells (row-major indices) at which the formula holds."""
+        states = self._padded(states)
         memo = self._fresh_memo(states)
         ev = self._make_evaluator(states, memo)
         return [p for p in range(self.grid.position_count) if ev(0, 0, p, states)]
 
     def holds_everywhere(self, states: list[EncodedState]) -> bool:
         """True iff the formula holds at every start cell; stops at the first miss."""
+        states = self._padded(states)
         memo = self._fresh_memo(states)
         ev = self._make_evaluator(states, memo)
         return all(ev(0, 0, p, states) for p in range(self.grid.position_count))
@@ -228,21 +232,22 @@ class CompiledFormula:
 
 @functools.lru_cache(maxsize=4096)
 def compile_formula(
-    f: Formula, g: GridGraph, prop_order: tuple[str, ...], nom_order: tuple[str, ...]
+    f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]
 ) -> CompiledFormula:
-    """Compile (cached); ``nom_order`` must include binder-introduced names."""
-    return CompiledFormula(f, g, prop_order, nom_order)
+    """Compile (cached) over the declared names; raises on undeclared free
+    symbols, and pads binder-only nominals inside the compiled formula."""
+    return CompiledFormula(f, g, props, noms)
 
 
-def encode_state(s: State, g: GridGraph, prop_order: tuple[str, ...], n_extra: int = 0) -> EncodedState:
-    """Pack a state into bitmask/index form, appending binder placeholders."""
+def encode_state(s: State, g: GridGraph, prop_order: tuple[str, ...]) -> EncodedState:
+    """Pack a state into bitmask/index form over its declared nominals."""
     bits = []
     for name in prop_order:
         mask = 0
         for c in s.props[name]:
             mask |= 1 << g.index(c)
         bits.append(mask)
-    noms = tuple(g.index(s.noms[name]) for name in sorted(s.noms)) + (0,) * n_extra
+    noms = tuple(g.index(s.noms[name]) for name in sorted(s.noms))
     return tuple(bits), noms
 
 
@@ -262,9 +267,8 @@ def _check_symbols(f: Formula, props: Iterable[str], noms: Iterable[str]) -> tup
 def _prepare(g: GridGraph, t: Trace, f: Formula) -> tuple[CompiledFormula, list[EncodedState]]:
     if t.grid != g:
         raise ValidationError(f"trace is over a {t.grid.rows}x{t.grid.cols} grid, not {g.rows}x{g.cols}")
-    extras = _check_symbols(f, t.prop_names, t.nominal_names)
-    compiled = compile_formula(f, g, t.prop_names, t.nominal_names + extras)
-    states = [encode_state(s, g, t.prop_names, len(extras)) for s in t.states]
+    compiled = compile_formula(f, g, t.prop_names, t.nominal_names)
+    states = [encode_state(s, g, t.prop_names) for s in t.states]
     return compiled, states
 
 

@@ -159,7 +159,6 @@ class AllDir(Formula):
 
 
 _CORE_TYPES = (Top, Prop, Nom, Not, And, Next, Until, Spatial, At, Bind)
-_UNARY_FIELDS = {Not: "child", Next: "child", Eventually: "child", Globally: "child", WeakNext: "child"}
 _BINARY_TYPES = (And, Until, Or, Implies, Iff)
 
 
@@ -230,22 +229,12 @@ def symbols(f: Formula) -> SymbolUsage:
 # ---------------------------------------------------------------------------
 
 
-def _not(f: Formula) -> Formula:
-    return Not(f)
-
-
 def _or(a: Formula, b: Formula) -> Formula:
     return Not(And(Not(a), Not(b)))
 
 
 def _implies(a: Formula, b: Formula) -> Formula:
     return Not(And(a, Not(b)))
-
-
-def _nest(d: Direction, n: int, f: Formula) -> Formula:
-    for _ in range(n):
-        f = Spatial(d, f)
-    return f
 
 
 def _default_bound(d: Direction, g: GridGraph) -> int:
@@ -291,20 +280,17 @@ def desugar(f: Formula, g: GridGraph) -> Formula:
         bound = f.bound if f.bound is not None else _default_bound(f.direction, g)
         if bound < 1:
             raise ValidationError(f"bounded spatial modality needs a bound >= 1, got {bound}")
-        child = desugar(f.child, g)
+        # Linear in the bound: <D:n>f = D(f | <D:n-1>f) and
+        # [D:n]f = D 1 -> D(f & [D:n-1]f), with <D:1>f = D f and [D:1]f = D 1 -> D f.
+        child, d = desugar(f.child, g), f.direction
         if isinstance(f, SomeDir):
-            parts = [_nest(f.direction, i, child) for i in range(1, bound + 1)]
-            acc = parts[0]
-            for part in parts[1:]:
-                acc = _or(acc, part)
+            acc = Spatial(d, child)
+            for _ in range(bound - 1):
+                acc = Spatial(d, _or(child, acc))
             return acc
-        parts = [
-            _implies(_nest(f.direction, i, Top()), _nest(f.direction, i, child))
-            for i in range(1, bound + 1)
-        ]
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = And(acc, part)
+        acc = _implies(Spatial(d, Top()), Spatial(d, child))
+        for _ in range(bound - 1):
+            acc = _implies(Spatial(d, Top()), Spatial(d, And(child, acc)))
         return acc
     raise ValidationError(f"unknown formula node {type(f).__name__}")
 

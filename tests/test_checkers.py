@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -389,6 +390,22 @@ class TestSatTraces:
         assert list(result) == []
         assert result.traces_generated == 20
         assert result.traces_satisfying == 0
+
+    def test_baseline_run_lists_no_proposition_assignments(self):
+        # Only motion reads the per-step proposition assignments; on a 5x4
+        # grid with one proposition there are 2^20 of them.
+        g = make_grid(5, 4)
+        cfg = cfg_of(g, ["h"], ["z"], AssumptionSet(), 2, Algorithm.BASELINE)
+        calls = itertools.count()
+        tracemalloc.start()
+        try:
+            result = sat_traces(cfg, stop=lambda: next(calls) >= 1000)
+            assert list(result) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.interrupted
+        assert peak < 4 * 2**20
 
     def test_algorithm_agreement_on_random_instances(self):
         rng = random.Random(4242)

@@ -53,6 +53,19 @@ class TestEval:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_recursion_overflow_is_an_error(self, tmp_path, capsys):
+        # Until recurses once per timestep, so a long trace overflows the stack.
+        g = make_grid(2, 1)
+        t = Trace([State(g, {}, {"z": Position(1, 1)})] * 1000)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(trace_to_json_dict(t)), encoding="utf-8")
+        code = main(
+            ["eval", "--grid", "2x1", "--formula", "G (z | Front z)", "--trace", str(path), "--point", "1,1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_grid_mismatch_is_an_error(self, trace_file):
         code = main(
             ["eval", "--grid", "3x3", "--formula", "1", "--trace", str(trace_file), "--point", "1,1"]

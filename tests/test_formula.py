@@ -173,16 +173,39 @@ class TestDesugar:
     def test_some_dir_expansion(self):
         g = make_grid(3, 3)
         out = desugar(SomeDir(F, 2, Prop("h")), g)
-        fh = Spatial(F, Prop("h"))
-        ffh = Spatial(F, fh)
-        assert out == Not(And(Not(fh), Not(ffh)))
-        assert size(out) == 9
+        h = Prop("h")
+        assert out == Spatial(F, Not(And(Not(h), Not(Spatial(F, h)))))
+        assert size(out) == 8
 
     def test_all_dir_expansion_size(self):
         g = make_grid(3, 3)
         out = desugar(AllDir(F, 2, Prop("h")), g)
-        assert size(out) == 17
+        assert size(out) == 15
         assert is_core(out)
+
+    def test_bounded_expansions_match_definition(self):
+        # <D:n>f: some cell 1..n steps along D exists and satisfies f;
+        # [D:n]f: every such cell that exists satisfies f.
+        from hstl.core import State, Trace, apply_path
+        from hstl.evaluator import evaluate
+
+        g = make_grid(4, 3)
+        rng = random.Random(11)
+        child = Or(Prop("h"), Next(Prop("h")))
+        core_child = desugar(child, g)
+        cells = list(g.positions())
+        for _ in range(5):
+            t = Trace(
+                [State(g, {"h": rng.sample(cells, rng.randint(0, len(cells)))}, {}) for _ in range(2)]
+            )
+            for d in Direction:
+                for n in range(1, 6):
+                    some, every = desugar(SomeDir(d, n, child), g), desugar(AllDir(d, n, child), g)
+                    for p in cells:
+                        reached = [apply_path(g, p, (d,) * i) for i in range(1, n + 1)]
+                        holds = [evaluate(g, t, q, core_child) for q in reached if q is not None]
+                        assert evaluate(g, t, p, some) == any(holds)
+                        assert evaluate(g, t, p, every) == all(holds)
 
     def test_default_bounds_from_grid(self):
         g = make_grid(3, 2)
