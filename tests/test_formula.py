@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from hstl.core import Direction, make_grid
+from hstl.core import Direction, State, Trace, apply_path, make_grid
 from hstl.errors import ParseError, ValidationError
+from hstl.evaluator import evaluate
 from hstl.formula import (
     AllDir,
     And,
@@ -186,9 +187,6 @@ class TestDesugar:
     def test_bounded_expansions_match_definition(self):
         # <D:n>f: some cell 1..n steps along D exists and satisfies f;
         # [D:n]f: every such cell that exists satisfies f.
-        from hstl.core import State, Trace, apply_path
-        from hstl.evaluator import evaluate
-
         g = make_grid(4, 3)
         rng = random.Random(11)
         child = Or(Prop("h"), Next(Prop("h")))
