@@ -98,10 +98,16 @@ def make_config(
 
 
 def _all_prop_masks(n_pos: int, n_props: int) -> Iterator[tuple[int, ...]]:
-    """Every proposition assignment, in product order.  product() copies its
-    2^n_pos masks up front; with one proposition they are streamed instead."""
+    """Every proposition assignment, streamed in the order of
+    ``itertools.product(range(1 << n_pos), repeat=n_props)`` (which would
+    copy its masks up front)."""
+    if n_props == 0:
+        yield ()
+        return
     masks = range(1 << n_pos)
-    return ((m,) for m in masks) if n_props == 1 else itertools.product(masks, repeat=n_props)
+    for head in _all_prop_masks(n_pos, n_props - 1):
+        for m in masks:
+            yield head + (m,)
 
 
 def _iter_prop_masks(
@@ -157,10 +163,12 @@ class _Context:
         aset = AssumptionSet() if cfg.algorithm is Algorithm.BASELINE else cfg.assumptions
         self.roles: dict[str, Role] = validate(aset, noms)
 
-        self.global_checks, self.initial_checks = (
-            [compile_formula(desugar(lower(a), grid), grid, props, noms) for a in group]
-            for group in (aset.global_states, aset.initials)
-        )
+        self.global_checks = [
+            compile_formula(desugar(lower(a), grid), grid, props, noms) for a in aset.global_states
+        ]
+        self.initial_checks = [
+            compile_formula(desugar(lower(a), grid), grid, props, noms) for a in aset.initials
+        ]
 
         # Motion tables.  The proposition assignments (up to 2^(cells*props);
         # only motion reads them); per non-dependent slot, the cells of a

@@ -110,8 +110,6 @@ class CompiledFormula:
 
     def __init__(self, f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]):
         extras = _check_symbols(f, props, noms)
-        if not is_core(f):
-            raise ValidationError("formula must be desugared before evaluation")
         prop_index = {name: i for i, name in enumerate(props)}
         nom_index = {name: i for i, name in enumerate(noms + extras)}
         table = index_nodes(f)

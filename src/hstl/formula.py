@@ -173,7 +173,13 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 def is_core(f: Formula) -> bool:
     """True when the tree uses only core constructors."""
-    return isinstance(f, _CORE_TYPES) and all(is_core(c) for c in children(f))
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, _CORE_TYPES):
+            return False
+        stack.extend(children(node))
+    return True
 
 
 def size(f: Formula) -> int:
@@ -244,7 +250,9 @@ def _default_bound(d: Direction, g: GridGraph) -> int:
 def desugar(f: Formula, g: GridGraph) -> Formula:
     """Rewrite to core constructors only. Idempotent.
 
-    The grid supplies default bounds for ``<D>``/``[D]`` when omitted.
+    The grid supplies default bounds for ``<D>``/``[D]`` when omitted, and
+    caps every bound at the steps the grid allows along D (cells further
+    away never exist, so the cap changes no truth value).
     """
     if isinstance(f, (Top, Prop, Nom)):
         return f
@@ -280,6 +288,7 @@ def desugar(f: Formula, g: GridGraph) -> Formula:
         bound = f.bound if f.bound is not None else _default_bound(f.direction, g)
         if bound < 1:
             raise ValidationError(f"bounded spatial modality needs a bound >= 1, got {bound}")
+        bound = max(1, min(bound, _default_bound(f.direction, g) - 1))
         # Linear in the bound: <D:n>f = D(f | <D:n-1>f) and
         # [D:n]f = D 1 -> D(f & [D:n-1]f), with <D:1>f = D f and [D:1]f = D 1 -> D f.
         child, d = desugar(f.child, g), f.direction
@@ -322,20 +331,23 @@ class NodeTable:
 
 
 def index_nodes(f: Formula) -> NodeTable:
-    """Assign preorder identifiers 0..n-1 to every occurrence in ``f``."""
-    if not is_core(f):
-        raise ValidationError("index_nodes expects a desugared (core-only) formula")
-    entries: dict[int, NodeEntry] = {}
-
-    def walk(node: Formula, parent: int | None) -> int:
-        my_id = len(entries)
-        entries[my_id] = NodeEntry(node, parent, ())  # children patched below
-        kid_ids = tuple(walk(c, my_id) for c in children(node))
-        entries[my_id] = NodeEntry(node, parent, kid_ids)
-        return my_id
-
-    walk(f, None)
-    return NodeTable(entries)
+    """Assign preorder identifiers 0..n-1 to every occurrence in ``f``,
+    which must be core-only."""
+    nodes: list[tuple[Formula, int | None]] = []
+    kids: list[list[int]] = []
+    stack: list[tuple[Formula, int | None]] = [(f, None)]
+    while stack:  # iterative, so deep trees need no deep recursion
+        node, parent = stack.pop()
+        if not isinstance(node, _CORE_TYPES):
+            raise ValidationError("formula must be desugared (core constructors only)")
+        if parent is not None:
+            kids[parent].append(len(nodes))
+        stack.extend((c, len(nodes)) for c in reversed(children(node)))
+        nodes.append((node, parent))
+        kids.append([])
+    return NodeTable(
+        {i: NodeEntry(node, parent, tuple(kids[i])) for i, (node, parent) in enumerate(nodes)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +355,10 @@ def index_nodes(f: Formula) -> NodeTable:
 # ---------------------------------------------------------------------------
 
 _DIR_NAMES = {d: d.value for d in Direction}
+# Operator spellings; the parser also reads _PREFIX.
+_PREFIX = {"!": Not, "X": Next, "WX": WeakNext, "G": Globally, "F": Eventually}
+_PREFIX_TEXT = {node: text for text, node in _PREFIX.items()}
+_INFIX_TEXT = {And: "&", Or: "|", Until: "U", Implies: "->", Iff: "<->"}
 
 
 def render(f: Formula) -> str:
@@ -354,16 +370,8 @@ def render(f: Formula) -> str:
         return "1"
     if isinstance(f, (Prop, Nom)):
         return f.name
-    if isinstance(f, Not):
-        return f"! {render(f.child)}"
-    if isinstance(f, Next):
-        return f"X {render(f.child)}"
-    if isinstance(f, WeakNext):
-        return f"WX {render(f.child)}"
-    if isinstance(f, Eventually):
-        return f"F {render(f.child)}"
-    if isinstance(f, Globally):
-        return f"G {render(f.child)}"
+    if type(f) in _PREFIX_TEXT:
+        return f"{_PREFIX_TEXT[type(f)]} {render(f.child)}"
     if isinstance(f, Spatial):
         return f"{_DIR_NAMES[f.direction]} {render(f.child)}"
     if isinstance(f, At):
@@ -376,16 +384,8 @@ def render(f: Formula) -> str:
     if isinstance(f, AllDir):
         bound = "" if f.bound is None else f":{f.bound}"
         return f"[{_DIR_NAMES[f.direction]}{bound}] {render(f.child)}"
-    if isinstance(f, And):
-        return f"({render(f.left)} & {render(f.right)})"
-    if isinstance(f, Or):
-        return f"({render(f.left)} | {render(f.right)})"
-    if isinstance(f, Until):
-        return f"({render(f.left)} U {render(f.right)})"
-    if isinstance(f, Implies):
-        return f"({render(f.left)} -> {render(f.right)})"
-    if isinstance(f, Iff):
-        return f"({render(f.left)} <-> {render(f.right)})"
+    if type(f) in _INFIX_TEXT:
+        return f"({render(f.left)} {_INFIX_TEXT[type(f)]} {render(f.right)})"
     raise ValidationError(f"unknown formula node {type(f).__name__}")
 
 
@@ -527,21 +527,9 @@ class _Parser:
 
     def parse_unary(self) -> Formula:
         kind, text, offset = self.peek()
-        if kind == "!":
+        if kind in _PREFIX:
             self.take()
-            return Not(self.parse_unary())
-        if kind == "X":
-            self.take()
-            return Next(self.parse_unary())
-        if kind == "WX":
-            self.take()
-            return WeakNext(self.parse_unary())
-        if kind == "G":
-            self.take()
-            return Globally(self.parse_unary())
-        if kind == "F":
-            self.take()
-            return Eventually(self.parse_unary())
+            return _PREFIX[kind](self.parse_unary())
         if kind in _DIR_BY_NAME:
             self.take()
             return Spatial(_DIR_BY_NAME[kind], self.parse_unary())

@@ -392,20 +392,21 @@ class TestSatTraces:
         assert result.traces_satisfying == 0
 
     def test_baseline_run_lists_no_proposition_assignments(self):
-        # Only motion reads the per-step proposition assignments; on a 5x4
-        # grid with one proposition there are 2^20 of them.
+        # Only motion lists the per-step proposition assignments; baseline
+        # streams them.  On a 5x4 grid there are 2^20 per proposition.
         g = make_grid(5, 4)
-        cfg = cfg_of(g, ["h"], ["z"], AssumptionSet(), 2, Algorithm.BASELINE)
-        calls = itertools.count()
-        tracemalloc.start()
-        try:
-            result = sat_traces(cfg, stop=lambda: next(calls) >= 1000)
-            assert list(result) == []
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.interrupted
-        assert peak < 4 * 2**20
+        for props in (["h"], ["h", "k"]):
+            cfg = cfg_of(g, props, ["z"], AssumptionSet(), 2, Algorithm.BASELINE)
+            calls = itertools.count()
+            tracemalloc.start()
+            try:
+                result = sat_traces(cfg, stop=lambda: next(calls) >= 1000)
+                assert list(result) == []
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.interrupted
+            assert peak < 4 * 2**20, props
 
     def test_algorithm_agreement_on_random_instances(self):
         rng = random.Random(4242)

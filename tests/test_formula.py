@@ -205,6 +205,22 @@ class TestDesugar:
                         assert evaluate(g, t, p, some) == any(holds)
                         assert evaluate(g, t, p, every) == all(holds)
 
+    def test_bounds_past_the_edge_are_capped(self):
+        # No cell lies more than rows-1 steps along Front, so bound 120 on a
+        # 40-row grid desugars as bound 39 and evaluates without overflow.
+        g = make_grid(40, 1)
+        h = Prop("h")
+        assert desugar(SomeDir(F, 120, h), g) == desugar(SomeDir(F, 39, h), g)
+        assert desugar(AllDir(F, 120, h), g) == desugar(AllDir(F, 39, h), g)
+        cells = list(g.positions())
+        bottom, top = cells[0], cells[-1]
+        everywhere = Trace([State(g, {"h": cells}, {})])
+        top_only = Trace([State(g, {"h": [top]}, {})])
+        assert evaluate(g, everywhere, bottom, desugar(AllDir(F, 120, h), g))
+        assert evaluate(g, top_only, bottom, desugar(SomeDir(F, 120, h), g))
+        assert not evaluate(g, top_only, bottom, desugar(AllDir(F, 120, h), g))
+        assert not evaluate(g, top_only, top, desugar(SomeDir(F, 120, h), g))
+
     def test_default_bounds_from_grid(self):
         g = make_grid(3, 2)
         front = desugar(SomeDir(F, None, Prop("h")), g)
