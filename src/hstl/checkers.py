@@ -21,7 +21,11 @@ per-state filter by the compiled global-state assumptions.
 Raw assumptions never influence generation.  The motion generator
 yields exactly the traces satisfying the non-raw assumptions (checked
 at every start position), which the test suite verifies against the
-baseline stream by brute force.
+baseline stream by brute force, with one exception: a global-state
+formula with a nested G is checked one state at a time, which does not
+decide it (see :class:`~hstl.idioms.GlobalState`).
+:func:`unenforced_assumptions` names, per algorithm, the assumptions a
+checked formula must still carry.
 
 Enumeration order is fully deterministic and documented.  Within one
 state, proposition assignments take the propositions in name order,
@@ -48,7 +52,7 @@ from .core import GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
 from .evaluator import EncodedState, compile_formula
 from .formula import Formula, desugar, is_core, symbols
-from .idioms import AssumptionSet, GlobalState, Role, lower, validate
+from .idioms import Assumption, AssumptionSet, GlobalState, Role, lower, validate
 
 StopCheck = Callable[[], bool] | None
 
@@ -369,8 +373,24 @@ def generate_traces_optimized(cfg: CheckerConfig) -> Iterator[Trace]:
 
 def generate_traces_motion(cfg: CheckerConfig) -> Iterator[Trace]:
     """Depth-first extension guided by the motion assumptions; yields exactly
-    the traces of length 1..max_len satisfying every non-raw assumption."""
+    the traces of length 1..max_len satisfying every non-raw assumption,
+    except that a global-state formula with a nested G is checked one
+    state at a time (see :class:`~hstl.idioms.GlobalState`)."""
     return _traces(replace(cfg, algorithm=Algorithm.MOTION))
+
+
+def unenforced_assumptions(aset: AssumptionSet, algorithm: Algorithm) -> tuple[Assumption, ...]:
+    """The pruning assumptions, in canonical order, that ``algorithm``'s
+    generator does not make hold at every cell of every trace it yields:
+    all for baseline, all but the initial and state-local global ones for
+    optimized, and for motion only the global ones with a nested G, which
+    the per-state filter reads over one state."""
+    if algorithm is Algorithm.BASELINE:
+        return aset.pruning_assumptions()
+    nested = tuple(a for a in aset.global_states if not a.state_local)
+    if algorithm is Algorithm.MOTION:
+        return nested
+    return nested + aset.static_cars + aset.fixed_motions + aset.relative_motions
 
 
 # ---------------------------------------------------------------------------

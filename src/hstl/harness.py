@@ -2,13 +2,16 @@
 
 A run drives :func:`hstl.checkers.sat_traces` over one scenario with
 one algorithm under a wall-clock budget (monotonic clock).  The checked
-formula is always the conjunction of every lowered assumption with the
-scenario's specification formulas, in a fixed order (initial, global,
-static, fixed, relative, raw, then the specification).  Conjoining the
-assumptions the generator already enforces is redundant for the motion
-algorithm but makes the emitted (trace, points) pairs — and therefore
-the satisfying-trace count — identical across all three algorithms by
-construction.
+formula conjoins, in a fixed order (initial, global, static, fixed,
+relative, raw, then the specification), the lowered assumptions that
+the algorithm's generator does not enforce
+(:func:`hstl.checkers.unenforced_assumptions`), every raw assumption,
+and the scenario's specification formulas.  Baseline enforces none, so
+its formula is the full conjunction.  Each conjunct ``A`` that
+optimized or motion drops holds at every cell of every trace its
+generator yields, so ``A & S`` holds at a cell exactly when ``S`` does:
+the emitted (trace, points) pairs, and with them the satisfying-trace
+count, are those the full conjunction gives.
 
 On timeout a run stops cleanly between candidates and reports the
 progress counters marked as partial.
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .checkers import Algorithm, CheckerConfig, CheckResult, make_config, sat_traces
+from .checkers import Algorithm, CheckerConfig, CheckResult, make_config, sat_traces, unenforced_assumptions
 from .core import GridGraph, Trace
 from .formula import And, Formula, Top, desugar
 from .idioms import lower
@@ -75,11 +78,13 @@ def build_config(
 ) -> CheckerConfig:
     """Compile a scenario into a checker configuration.
 
-    The specification handed to the checker is the full conjunction
-    described in the module docstring, desugared against the grid.
+    The specification handed to the checker is the conjunction described
+    in the module docstring, desugared against the grid: it leaves out
+    the conjuncts the generator already makes true at every cell, which
+    changes no emitted point set.
     """
     aset = compile_assumption_set(scenario)
-    spec_parts = [lower(a) for a in aset.pruning_assumptions()]
+    spec_parts = [lower(a) for a in unenforced_assumptions(aset, algorithm)]
     spec_parts += [a.formula for a in aset.raws]
     spec_parts += list(parse_specification(scenario))
     spec = desugar(conjoin(spec_parts), scenario.grid)

@@ -73,7 +73,13 @@ class GlobalState:
 
     The constraint is evaluated from the viewpoint nominal's own cell,
     which makes its truth value independent of where evaluation starts.
-    ``formula`` may use G but no other temporal operator.
+    ``formula`` may use G but no other temporal operator.  The checkers
+    filter it one state at a time, which decides it exactly only when
+    ``formula`` has no G (:attr:`state_local`).  A nested G is read over
+    that one state: outside any negation the filter then only
+    over-approximates the assumption, and the checked formula keeps it;
+    under a negation the filter can also reject states of traces that
+    satisfy it, so optimized and motion may count fewer than baseline.
     """
 
     viewpoint: str
@@ -85,6 +91,11 @@ class GlobalState:
                 f"global state assumption on {self.viewpoint!r}: "
                 "only G is allowed among temporal operators"
             )
+
+    @property
+    def state_local(self) -> bool:
+        """Whether ``formula`` has no G, so each state decides it alone."""
+        return not _contains_temporal(self.formula, allow_globally=False)
 
 
 @dataclass(frozen=True)
@@ -131,8 +142,9 @@ class Initial:
 
     Generation filters it at every start cell, so write it anchored at a
     nominal (``@v ...``) to make its truth start-cell-independent; an
-    unanchored constraint prunes more aggressively than the final
-    satisfaction check requires.
+    unanchored constraint makes the optimized and motion generators
+    prune traces that the baseline algorithm, which checks it only at
+    each start cell, still counts.
     """
 
     formula: Formula

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     random_core_formula,
     random_exactness_instance,
+    random_state_local_formula,
 )
 from hstl.checkers import (
     Algorithm,
@@ -21,16 +22,19 @@ from hstl.checkers import (
     sat_traces,
     state_count,
     trace_count_bound,
+    unenforced_assumptions,
 )
 from hstl.core import Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
 from hstl.evaluator import evaluate, sat_points
-from hstl.formula import Nom, Not, Top, desugar, parse
+from hstl.formula import And, Globally, Nom, Not, Top, desugar, parse
+from hstl.harness import conjoin
 from hstl.idioms import (
     AssumptionSet,
     FixedMotion,
     GlobalState,
     Initial,
+    Raw,
     RelativeMotion,
     StaticCar,
     lower,
@@ -415,7 +419,7 @@ class TestSatTraces:
             raw_spec = random_core_formula(rng, props, noms, 5)
             conjunction = raw_spec
             for a in aset.assumptions:
-                conjunction = __import__("hstl").formula.And(conjunction, lower(a))
+                conjunction = And(conjunction, lower(a))
             spec = desugar(conjunction, g)
             emissions = {}
             for algorithm in Algorithm:
@@ -425,6 +429,47 @@ class TestSatTraces:
                 )
             assert emissions[Algorithm.BASELINE] == emissions[Algorithm.OPTIMIZED]
             assert emissions[Algorithm.BASELINE] == emissions[Algorithm.MOTION]
+
+
+class TestUnenforcedAssumptions:
+    def test_rule_per_algorithm(self):
+        nested = GlobalState("z0", Globally(parse("h", {"h"}, set())))
+        local = GlobalState("z0", parse("h", {"h"}, set()))
+        init, static = Initial(parse("@z0 h", {"h"}, {"z0"})), StaticCar("z1")
+        fixed, relative = FixedMotion("z2", frozenset({()})), RelativeMotion("z3", "z4", (F,))
+        aset = AssumptionSet([relative, fixed, static, nested, local, init, Raw(Top())])
+        assert unenforced_assumptions(aset, Algorithm.BASELINE) == (
+            init, nested, local, static, fixed, relative
+        )
+        assert unenforced_assumptions(aset, Algorithm.OPTIMIZED) == (nested, static, fixed, relative)
+        assert unenforced_assumptions(aset, Algorithm.MOTION) == (nested,)
+
+    def test_residual_spec_emits_what_the_full_conjunction_emits(self):
+        # Each dropped conjunct holds at every cell of every generated
+        # trace, so both specs emit the same ordered (trace, points) list.
+        rng = random.Random(2718)
+        nested = 0
+        for _ in range(100):
+            g, props, noms, aset, n = random_exactness_instance(rng)
+            extra = [Raw(random_core_formula(rng, props, noms, 4))]
+            if rng.random() < 0.4:
+                body = Globally(random_state_local_formula(rng, props, noms, budget=3))
+                side = random_state_local_formula(rng, props, noms, budget=2)
+                extra.append(GlobalState(rng.choice(noms), rng.choice([body, Not(body), And(side, body)])))
+                nested += 1
+            aset = AssumptionSet(aset.assumptions + tuple(extra))
+            tail = [a.formula for a in aset.raws] + [random_core_formula(rng, props, noms, 5)]
+
+            def emitted(assumptions, algorithm):
+                spec = desugar(conjoin([lower(a) for a in assumptions] + tail), g)
+                cfg = cfg_of(g, props, noms, aset, n, algorithm, spec=spec)
+                return list(sat_traces(cfg))
+
+            for algorithm in (Algorithm.OPTIMIZED, Algorithm.MOTION):
+                full = emitted(aset.pruning_assumptions(), algorithm)
+                residual = emitted(unenforced_assumptions(aset, algorithm), algorithm)
+                assert residual == full, (g, aset, algorithm)
+        assert nested >= 25
 
 
 class TestCountBound:

@@ -3,8 +3,9 @@
 from conftest import safe_follow_model
 from hstl.checkers import Algorithm
 from hstl.core import Position, State, Trace, make_grid
+from hstl.formula import index_nodes, is_core
 from hstl.harness import RunReport, build_config, emit_table, render_trace, run, validity_suite
-from hstl.scenarios import left_right, one_lane_follow, platoon, same_name
+from hstl.scenarios import Scenario, ScenarioAssumption, left_right, one_lane_follow, platoon, same_name
 
 
 class TestRun:
@@ -34,6 +35,15 @@ class TestRun:
         report = run(one_lane_follow(3), Algorithm.BASELINE, timeout=60, max_len=1)
         assert report.trace_count == 9
         assert report.max_len == 1
+
+    def test_nested_globally_stays_in_the_checked_formula(self):
+        # The per-state filter reads `G h` over one state, so optimized and
+        # motion generate traces where h fails later; only the checked
+        # formula rejects them (dropping it there would count 20).
+        nested = ScenarioAssumption("global", nominal="z", formula="G h")
+        scenario = Scenario("nested_g", make_grid(2, 1), ("h",), ("z",), (nested,), ("1",), 2)
+        for algorithm in Algorithm:
+            assert run(scenario, algorithm, timeout=60).sat_count == 16, algorithm
 
 
 def _reports_for_table():
@@ -126,10 +136,14 @@ class TestBuildConfig:
     def test_conjunction_is_core_and_validated(self):
         for scenario in (left_right(), same_name(), platoon(2)):
             cfg = build_config(scenario, Algorithm.MOTION)
-            from hstl.formula import is_core
-
             assert is_core(cfg.spec)
             assert cfg.max_len == scenario.max_trace_length
+
+    def test_checked_spec_leaves_out_enforced_conjuncts(self):
+        # Baseline checks the full conjunction; optimized drops the initial
+        # and state-local global conjuncts, motion also the motion ones.
+        sizes = {a: len(index_nodes(build_config(platoon(2), a).spec)) for a in Algorithm}
+        assert sizes == {Algorithm.BASELINE: 108, Algorithm.OPTIMIZED: 90, Algorithm.MOTION: 58}
 
 
 class TestValiditySurface:
