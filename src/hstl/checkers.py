@@ -3,7 +3,12 @@
 Three generators of increasing selectivity produce every trace of length
 1..max_len compatible with their share of the assumptions.  They share
 one pipeline: a source of first states, a successor function, and one
-per-state filter by the compiled global-state assumptions.
+per-state filter by the compiled global-state assumptions whose formula
+has no G (the others stay in the checked formula; see
+:func:`unenforced_assumptions`).  On a one-state trace a check's verdict
+depends only on the proposition masks and nominal cells its formula
+reads freely, so the filter evaluates each check once per distinct value
+of those slots and looks the verdict up for every other state.
 
 * baseline    — the full product space; it compiles no assumption, so
   the filter passes every state;
@@ -18,14 +23,13 @@ per-state filter by the compiled global-state assumptions.
   dependents are placed by path completion.  Candidate states are
   filtered by the global-state assumptions.
 
-Raw assumptions never influence generation.  The motion generator
-yields exactly the traces satisfying the non-raw assumptions (checked
-at every start position), which the test suite verifies against the
-baseline stream by brute force, with one exception: a global-state
-formula with a nested G is checked one state at a time, which does not
-decide it (see :class:`~hstl.idioms.GlobalState`).
-:func:`unenforced_assumptions` names, per algorithm, the assumptions a
-checked formula must still carry.
+Raw assumptions never influence generation, and neither do global-state
+formulas with a nested G, which one state cannot decide (see
+:class:`~hstl.idioms.GlobalState`).  The motion generator yields exactly
+the traces satisfying the other non-raw assumptions (checked at every
+start position), which the test suite verifies against the baseline
+stream by brute force.  :func:`unenforced_assumptions` names, per
+algorithm, the assumptions a checked formula must still carry.
 
 Enumeration order is fully deterministic and documented.  Within one
 state, proposition assignments take the propositions in name order,
@@ -118,7 +122,8 @@ def _iter_prop_masks(
     grid: GridGraph, global_states: Sequence[GlobalState], props: tuple[str, ...]
 ) -> Iterator[tuple[int, ...]]:
     """Proposition assignments (``props`` sorted) that can still pass the
-    proposition-only global constraints.  An over-approximation: the per-state
+    proposition-only ones among ``global_states`` (all state-local, as the
+    per-state filter reads them).  An over-approximation: the per-state
     check downstream stays authoritative.  With no propositions, exactly the
     empty assignment."""
     prop_only = []
@@ -167,18 +172,17 @@ class _Context:
         aset = AssumptionSet() if cfg.algorithm is Algorithm.BASELINE else cfg.assumptions
         self.roles: dict[str, Role] = validate(aset, noms)
 
-        self.global_checks = [
-            compile_formula(desugar(lower(a), grid), grid, props, noms) for a in aset.global_states
-        ]
-        self.initial_checks = [
-            compile_formula(desugar(lower(a), grid), grid, props, noms) for a in aset.initials
-        ]
+        # Each check is (compiled formula, the slots it reads, its verdict
+        # per value of those slots); a G-free formula is decided by one state.
+        local_globals = [a for a in aset.global_states if a.state_local]
+        self.global_checks = [self._state_check(a) for a in local_globals]
+        self.initial_checks = [self._state_check(a) for a in aset.initials]
 
         # Motion tables.  The proposition assignments (up to 2^(cells*props);
         # only motion reads them); per non-dependent slot, the cells of a
         # first state and per cell of the previous state those of the next.
         motion = cfg.algorithm is Algorithm.MOTION
-        self.prop_masks = list(_iter_prop_masks(grid, aset.global_states, props)) if motion else []
+        self.prop_masks = list(_iter_prop_masks(grid, local_globals, props)) if motion else []
         all_cells = tuple(range(self.P))
         cells = list(grid.positions())
         self.non_dependent: list[int] = []
@@ -219,17 +223,29 @@ class _Context:
 
     # -- state-level checks ---------------------------------------------------
 
-    def passes_global(self, enc: EncodedState) -> bool:
-        for check in self.global_checks:
-            if not check.holds_everywhere([enc]):
+    def _state_check(self, a: Assumption):
+        compiled = compile_formula(desugar(lower(a), self.grid), self.grid, self.props, self.noms)
+        return compiled, compiled.prop_slots, compiled.nom_slots, {}
+
+    @staticmethod
+    def _passes(checks, enc: EncodedState) -> bool:
+        """Every check holds everywhere on the one-state trace ``enc``; each
+        verdict is computed once per value of the slots its check reads."""
+        masks, cells = enc
+        for compiled, prop_slots, nom_slots, verdicts in checks:
+            key = (tuple([masks[i] for i in prop_slots]), tuple([cells[i] for i in nom_slots]))
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = compiled.holds_everywhere([enc])
+            if not verdict:
                 return False
         return True
 
+    def passes_global(self, enc: EncodedState) -> bool:
+        return self._passes(self.global_checks, enc)
+
     def passes_initial(self, enc: EncodedState) -> bool:
-        for check in self.initial_checks:
-            if not check.holds_everywhere([enc]):
-                return False
-        return True
+        return self._passes(self.initial_checks, enc)
 
     # -- encoding / decoding ----------------------------------------------------
 
@@ -373,9 +389,9 @@ def generate_traces_optimized(cfg: CheckerConfig) -> Iterator[Trace]:
 
 def generate_traces_motion(cfg: CheckerConfig) -> Iterator[Trace]:
     """Depth-first extension guided by the motion assumptions; yields exactly
-    the traces of length 1..max_len satisfying every non-raw assumption,
-    except that a global-state formula with a nested G is checked one
-    state at a time (see :class:`~hstl.idioms.GlobalState`)."""
+    the traces of length 1..max_len satisfying every non-raw assumption
+    except the global-state formulas with a nested G, which it leaves to
+    the checked formula (see :class:`~hstl.idioms.GlobalState`)."""
     return _traces(replace(cfg, algorithm=Algorithm.MOTION))
 
 
@@ -384,7 +400,7 @@ def unenforced_assumptions(aset: AssumptionSet, algorithm: Algorithm) -> tuple[A
     generator does not make hold at every cell of every trace it yields:
     all for baseline, all but the initial and state-local global ones for
     optimized, and for motion only the global ones with a nested G, which
-    the per-state filter reads over one state."""
+    the per-state filter leaves out."""
     if algorithm is Algorithm.BASELINE:
         return aset.pruning_assumptions()
     nested = tuple(a for a in aset.global_states if not a.state_local)

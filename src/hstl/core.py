@@ -230,13 +230,16 @@ class Trace:
         if not states:
             raise ValidationError("a trace must contain at least one state")
         first = states[0]
+        grid, prop_names, nom_names = first.grid, first.props.keys(), first.noms.keys()
         for s in states[1:]:
-            if s.grid != first.grid:
+            if s is first:
+                continue
+            if s.grid is not grid and s.grid != grid:
                 raise ValidationError("all states in a trace must share one grid")
-            if s.props.keys() != first.props.keys() or s.noms.keys() != first.noms.keys():
+            if s.props.keys() != prop_names or s.noms.keys() != nom_names:
                 raise ValidationError("all states in a trace must declare the same symbols")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "grid", first.grid)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_hash", hash(states))
 
     def __setattr__(self, name, value):

@@ -52,6 +52,7 @@ from .formula import (
     Not,
     Prop,
     Spatial,
+    SymbolUsage,
     Top,
     Until,
     index_nodes,
@@ -94,7 +95,11 @@ class CompiledFormula:
     """A core formula flattened for fast evaluation over one grid.
 
     Compiling checks the names once: free propositions and nominals must
-    be declared in ``props``/``noms``.  A nominal that only a binder
+    be declared in ``props``/``noms``.  ``prop_slots`` and ``nom_slots``
+    are the indices, into ``props`` and ``noms``, of those the formula
+    reads freely; on a one-state trace nothing else of the state can
+    change its truth value (a nominal read only under its own binder is
+    written before it is read).  A nominal that only a binder
     introduces gets a slot after the declared ones; the evaluation
     methods append ``pad`` (placeholder cells, never read before the
     binder writes them), so callers encode states over ``noms`` only.
@@ -106,10 +111,12 @@ class CompiledFormula:
     are actually written.
     """
 
-    __slots__ = ("grid", "pad", "n_nodes", "kinds", "args", "args2", "aux", "nbr")
+    __slots__ = (
+        "grid", "pad", "prop_slots", "nom_slots", "n_nodes", "kinds", "args", "args2", "aux", "nbr"
+    )
 
     def __init__(self, f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]):
-        extras = _check_symbols(f, props, noms)
+        usage, extras = _check_symbols(f, props, noms)
         prop_index = {name: i for i, name in enumerate(props)}
         nom_index = {name: i for i, name in enumerate(noms + extras)}
         table = index_nodes(f)
@@ -140,6 +147,8 @@ class CompiledFormula:
                 kinds[nid], args[nid], aux[nid] = _BIND, kids[0], nom_index[node.nominal]
         self.grid = g
         self.pad = (0,) * len(extras)
+        self.prop_slots = tuple(sorted(prop_index[name] for name in usage.props))
+        self.nom_slots = tuple(sorted(nom_index[name] for name in usage.noms))
         self.n_nodes = n
         self.kinds = tuple(kinds)
         self.args = tuple(args)
@@ -249,9 +258,12 @@ def encode_state(s: State, g: GridGraph, prop_order: tuple[str, ...]) -> Encoded
     return tuple(bits), noms
 
 
-def _check_symbols(f: Formula, props: Iterable[str], noms: Iterable[str]) -> tuple[str, ...]:
+def _check_symbols(
+    f: Formula, props: Iterable[str], noms: Iterable[str]
+) -> tuple[SymbolUsage, tuple[str, ...]]:
     """Raise on undeclared free propositions or nominals; return the
-    binder-introduced nominals, sorted (they need no declaration)."""
+    formula's symbols and its binder-introduced nominals, sorted (they
+    need no declaration)."""
     usage = symbols(f)
     missing = usage.props.difference(props)
     if missing:
@@ -259,7 +271,7 @@ def _check_symbols(f: Formula, props: Iterable[str], noms: Iterable[str]) -> tup
     missing = usage.noms.difference(noms)
     if missing:
         raise ValidationError(f"formula uses undeclared nominals {sorted(missing)}")
-    return tuple(sorted(usage.bound.difference(noms)))
+    return usage, tuple(sorted(usage.bound.difference(noms)))
 
 
 def _prepare(g: GridGraph, t: Trace, f: Formula) -> tuple[CompiledFormula, list[EncodedState]]:
@@ -304,7 +316,7 @@ def evaluate_naive(g: GridGraph, t: Trace, p: Position, f: Formula) -> bool:
         raise ValidationError("trace grid does not match the supplied grid")
     if not is_core(f):
         raise ValidationError("formula must be desugared before evaluation")
-    extras = _check_symbols(f, t.prop_names, t.nominal_names)
+    _, extras = _check_symbols(f, t.prop_names, t.nominal_names)
     if extras:
         placeholder = Position(1, 1)
         t = Trace([_state_with_extras(s, extras, placeholder) for s in t.states])

@@ -73,13 +73,11 @@ class GlobalState:
 
     The constraint is evaluated from the viewpoint nominal's own cell,
     which makes its truth value independent of where evaluation starts.
-    ``formula`` may use G but no other temporal operator.  The checkers
-    filter it one state at a time, which decides it exactly only when
-    ``formula`` has no G (:attr:`state_local`).  A nested G is read over
-    that one state: outside any negation the filter then only
-    over-approximates the assumption, and the checked formula keeps it;
-    under a negation the filter can also reject states of traces that
-    satisfy it, so optimized and motion may count fewer than baseline.
+    ``formula`` may use G but no other temporal operator.  When
+    ``formula`` has no G (:attr:`state_local`), each state decides it
+    alone, and the optimized and motion checkers filter it one state at a
+    time.  One state cannot decide a nested G, so such a formula is never
+    filtered: the checked formula keeps it under every algorithm.
     """
 
     viewpoint: str

@@ -24,10 +24,10 @@ from hstl.checkers import (
     trace_count_bound,
     unenforced_assumptions,
 )
-from hstl.core import Direction, Position, State, Trace, make_grid
+from hstl.core import DIRECTIONS, Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
-from hstl.evaluator import evaluate, sat_points
-from hstl.formula import And, Globally, Nom, Not, Top, desugar, parse
+from hstl.evaluator import CompiledFormula, compile_formula, evaluate, sat_points
+from hstl.formula import And, At, Bind, Globally, Nom, Not, Or, Spatial, Top, desugar, parse
 from hstl.harness import conjoin
 from hstl.idioms import (
     AssumptionSet,
@@ -39,6 +39,7 @@ from hstl.idioms import (
     StaticCar,
     lower,
 )
+from hstl.scenarios import compile_assumption_set, passing, platoon
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
 
@@ -470,6 +471,83 @@ class TestUnenforcedAssumptions:
                 residual = emitted(unenforced_assumptions(aset, algorithm), algorithm)
                 assert residual == full, (g, aset, algorithm)
         assert nested >= 25
+
+
+def count_filter_calls(monkeypatch) -> Counter:
+    """Count ``CompiledFormula.holds_everywhere`` calls under ``calls["n"]``."""
+    calls = Counter()
+    original = CompiledFormula.holds_everywhere
+
+    def counted(self, states):
+        calls["n"] += 1
+        return original(self, states)
+
+    monkeypatch.setattr(CompiledFormula, "holds_everywhere", counted)
+    return calls
+
+
+class TestStateFilter:
+    """The per-state filter decides each check once per distinct value of
+    the proposition and nominal slots the check reads."""
+
+    def test_streams_match_brute_force_with_binders_and_jumps(self):
+        rng = random.Random(1618)
+        kept = 0
+        for _ in range(60):
+            g, props, noms, aset, _ = random_exactness_instance(rng)
+            if g.position_count <= 4 and rng.random() < 0.5:
+                props = ["q"]  # so that the extra formulas read a proposition more often
+            extra = []
+            for _ in range(rng.randint(1, 2)):
+                z, w, d = rng.choice(noms), rng.choice(noms), rng.choice(DIRECTIONS)
+                others = [v for v in noms if v != w]
+                body = random_state_local_formula(rng, props, others, budget=3)
+                shape = rng.choice(
+                    [
+                        Bind(w, Or(At(z, Spatial(d, Nom(w))), body)),  # re-binds a declared nominal
+                        Or(At(w, Spatial(d, Top())), body),  # the only read of w is a jump
+                        Bind("y", At(z, Or(Nom("y"), Spatial(d, Nom("y"))))),  # binder-only nominal
+                    ]
+                )
+                extra.append(GlobalState(rng.choice(noms), shape))
+            aset = AssumptionSet(aset.assumptions + tuple(extra))
+            n = max(k for k in (1, 2) if baseline_trace_count(g, len(props), len(noms), k) <= 2_000)
+            for algorithm, generator, checked in (
+                (Algorithm.OPTIMIZED, generate_traces_optimized, aset.global_states + aset.initials),
+                (Algorithm.MOTION, generate_traces_motion, aset.pruning_assumptions()),
+            ):
+                got = list(generator(cfg_of(g, props, noms, aset, n, algorithm)))
+                want = set(brute_force_filter(g, props, noms, aset, n, checked))
+                assert len(got) == len(set(got)), (g, aset, algorithm)
+                assert set(got) == want, (g, aset, algorithm)
+                kept += bool(want)
+        assert kept >= 50, kept
+
+    def test_nominal_read_only_under_its_binder_is_not_a_slot(self, monkeypatch):
+        # `@z0 ↓z1 (z1 & Front 1)`: z1 is written before it is read, so the
+        # verdict depends on z0's cell alone.
+        g = make_grid(3, 2)
+        a = GlobalState("z0", parse("↓z1 (z1 & Front 1)", set(), {"z0", "z1"}))
+        assert compile_formula(desugar(lower(a), g), g, (), ("z0", "z1")).nom_slots == (0,)
+        calls = count_filter_calls(monkeypatch)
+        assert len(first_states(g, AssumptionSet([a]), [], ["z0", "z1"])) == 4 * 6
+        assert calls["n"] == 6  # one per cell of z0; 36 if z1 were a slot
+
+    def test_scenario_filters_run_once_per_slot_value(self, monkeypatch):
+        # One call per candidate state would make 117,700 and 88,576.
+        calls = count_filter_calls(monkeypatch)
+        for scenario, traces, most in ((platoon(3), 34_650, 30), (passing(4), 88_544, 8)):
+            calls.clear()
+            cfg = cfg_of(
+                scenario.grid,
+                scenario.propositions,
+                scenario.nominals,
+                compile_assumption_set(scenario),
+                scenario.max_trace_length,
+                Algorithm.MOTION,
+            )
+            assert sum(1 for _ in generate_traces_motion(cfg)) == traces
+            assert calls["n"] <= most, scenario.name
 
 
 class TestCountBound:

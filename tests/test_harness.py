@@ -37,13 +37,20 @@ class TestRun:
         assert report.max_len == 1
 
     def test_nested_globally_stays_in_the_checked_formula(self):
-        # The per-state filter reads `G h` over one state, so optimized and
-        # motion generate traces where h fails later; only the checked
-        # formula rejects them (dropping it there would count 20).
+        # One state cannot decide `G h`, so no generator filters by it and
+        # only the checked formula rejects the traces where h fails later.
         nested = ScenarioAssumption("global", nominal="z", formula="G h")
         scenario = Scenario("nested_g", make_grid(2, 1), ("h",), ("z",), (nested,), ("1",), 2)
         for algorithm in Algorithm:
             assert run(scenario, algorithm, timeout=60).sat_count == 16, algorithm
+
+    def test_negated_globally_counts_alike(self):
+        # Read over one state, `!G h` would reject every state with h and
+        # lose the trace (h, no h), which satisfies it.
+        negated = ScenarioAssumption("global", nominal="z", formula="!G h")
+        scenario = Scenario("negated_g", make_grid(1, 1), ("h",), ("z",), (negated,), ("1",), 2)
+        for algorithm in Algorithm:
+            assert run(scenario, algorithm, timeout=60).sat_count == 3, algorithm
 
 
 def _reports_for_table():
