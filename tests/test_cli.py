@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -128,6 +129,25 @@ class TestCheck:
         code = main(["check", "--scenario", str(scenario), "--algorithm", algorithm, "--emit", "traces"])
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "name, algorithm, digest",
+        [
+            ("left_right", "baseline", "6f55a4b383c10cfee8402582e40608e3fcef65fd83ad1ad02042647bdc5d0895"),
+            ("left_right", "optimized", "6f55a4b383c10cfee8402582e40608e3fcef65fd83ad1ad02042647bdc5d0895"),
+            ("left_right", "motion", "9a24da9c07e6664da8d9b4fbdfebabb4f8777d72e9fdaea4f21e619039454013"),
+            ("same_name", "optimized", "d6f0cb670bd44d8b598a976986ed3253001618a8d5149a7c989933d54633115e"),
+            ("same_name", "motion", "b6d8907a92abd422d17ab8a750ee9aa36c1ed04b77b8c28c134ff5b96f9b8974"),
+            ("platoon_2", "motion", "07abb15c9d04a4dc97bd456e90f459dd17d330622463a440493b8853761198d8"),
+        ],
+    )
+    def test_emitted_trace_digests_are_pinned(self, name, algorithm, digest, capsys):
+        # The remaining scenario files' outputs are too large to keep as
+        # golden files; their sha256 digests pin them byte for byte.
+        scenario = Path(__file__).parent.parent / "scenarios" / f"{name}.json"
+        code = main(["check", "--scenario", str(scenario), "--algorithm", algorithm, "--emit", "traces"])
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 class TestRender:
