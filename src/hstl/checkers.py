@@ -1,27 +1,28 @@
 """Bounded trace generation and satisfaction search.
 
 Three generators of increasing selectivity produce every trace of length
-1..max_len compatible with their share of the assumptions.  They share
-one pipeline: a source of first states, a successor function, and one
-per-state filter by the compiled global-state assumptions whose formula
-has no G (the others stay in the checked formula; see
-:func:`unenforced_assumptions`).  On a one-state trace a check's verdict
-depends only on the proposition masks and nominal cells its formula
-reads freely, so the filter evaluates each check once per distinct value
-of those slots and looks the verdict up for every other state.
+1..max_len compatible with the assumptions each enforces: the pruning
+assumptions that :func:`unenforced_assumptions` does not name.  They
+share one pipeline: a source of first states, a successor function, and
+one per-state filter by the enforced global-state assumptions (those
+whose formula has no G).  On a one-state trace a check's verdict depends
+only on the proposition masks and nominal cells its formula reads
+freely, so the filter evaluates each check once per distinct value of
+those slots and looks the verdict up for every other state.
 
-* baseline    — the full product space; it compiles no assumption, so
+* baseline    — the full product space; it enforces no assumption, so
   the filter passes every state;
 * optimized   — products over the states that pass the global-state
   assumptions per state (the first state additionally passes the
   initial assumptions);
 * motion      — depth-first extension through per-slot successor tables
-  built from the motion roles: a static nominal keeps its cell, a
-  fixed-motion nominal moves to the cells from which some move path
-  leads back to its previous cell, a dependee ranges over the cells
-  keeping its dependents on-grid, free nominals range over everything;
-  dependents are placed by path completion.  Candidate states are
-  filtered by the global-state assumptions.
+  built from the enforced static, fixed and relative motion assumptions:
+  a static nominal keeps its cell, a fixed-motion nominal moves to the
+  cells from which some move path leads back to its previous cell, a
+  dependee ranges over the cells keeping its dependents on-grid, any
+  other nominal over every cell; dependents are placed by path
+  completion.  Every proposition assignment is a candidate; candidate
+  states are filtered by the global-state assumptions.
 
 Raw assumptions never influence generation, and neither do global-state
 formulas with a nested G, which one state cannot decide (see
@@ -55,8 +56,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
 from .evaluator import EncodedState, compile_formula
-from .formula import Formula, desugar, is_core, symbols
-from .idioms import Assumption, AssumptionSet, GlobalState, Role, lower, validate
+from .formula import Formula, desugar, is_core
+from .idioms import Assumption, AssumptionSet, lower, validate
 
 StopCheck = Callable[[], bool] | None
 
@@ -118,26 +119,6 @@ def _all_prop_masks(n_pos: int, n_props: int) -> Iterator[tuple[int, ...]]:
             yield head + (m,)
 
 
-def _iter_prop_masks(
-    grid: GridGraph, global_states: Sequence[GlobalState], props: tuple[str, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Proposition assignments (``props`` sorted) that can still pass the
-    proposition-only ones among ``global_states`` (all state-local, as the
-    per-state filter reads them).  An over-approximation: the per-state
-    check downstream stays authoritative.  With no propositions, exactly the
-    empty assignment."""
-    prop_only = []
-    for a in global_states:
-        usage = symbols(a.formula)
-        if usage.props and not usage.noms and not usage.bound:
-            prop_only.append(compile_formula(desugar(a.formula, grid), grid, props, ()))
-    n_pos = grid.position_count
-    for masks in _all_prop_masks(n_pos, len(props)):
-        state = [(masks, ())]
-        if all(any(c.evaluate(state, p) for p in range(n_pos)) for c in prop_only):
-            yield masks
-
-
 def _fixed_successor_table(grid: GridGraph, moves) -> tuple[tuple[int, ...], ...]:
     """cell -> successor cells from which some move path reaches it.
 
@@ -168,51 +149,49 @@ class _Context:
         self.props = props
         self.noms = noms
         self.nom_index = {n: i for i, n in enumerate(noms)}
-        # Baseline consults no assumption: its per-state filter passes everything.
-        aset = AssumptionSet() if cfg.algorithm is Algorithm.BASELINE else cfg.assumptions
-        self.roles: dict[str, Role] = validate(aset, noms)
+        # Built from the assumptions this algorithm's generator enforces,
+        # which :func:`make_config` has validated.
+        unenforced = unenforced_assumptions(cfg.assumptions, cfg.algorithm)
+        aset = AssumptionSet(a for a in cfg.assumptions.pruning_assumptions() if a not in unenforced)
 
         # Each check is (compiled formula, the slots it reads, its verdict
-        # per value of those slots); a G-free formula is decided by one state.
-        local_globals = [a for a in aset.global_states if a.state_local]
-        self.global_checks = [self._state_check(a) for a in local_globals]
+        # per value of those slots).
+        self.global_checks = [self._state_check(a) for a in aset.global_states]
         self.initial_checks = [self._state_check(a) for a in aset.initials]
 
         # Motion tables.  The proposition assignments (up to 2^(cells*props);
         # only motion reads them); per non-dependent slot, the cells of a
-        # first state and per cell of the previous state those of the next.
+        # first state and per cell of the previous state those of the next:
+        # a static nominal keeps its cell, a fixed one follows its moves, and
+        # any other ranges over the cells that keep its dependents on-grid.
         motion = cfg.algorithm is Algorithm.MOTION
-        self.prop_masks = list(_iter_prop_masks(grid, local_globals, props)) if motion else []
-        all_cells = tuple(range(self.P))
+        self.prop_masks = list(_all_prop_masks(self.P, len(props))) if motion else []
         cells = list(grid.positions())
+        static = {a.nominal for a in aset.static_cars}
+        moves = {a.nominal: a.moves for a in aset.fixed_motions}
+        chained = {a.dependent: a for a in aset.relative_motions}
         self.non_dependent: list[int] = []
         self.first_cells: list[tuple[int, ...]] = []
         self.next_cells: list[tuple[tuple[int, ...], ...]] = []
         self.dependents: list[tuple[int, int, tuple[int, ...]]] = []  # (slot, dependee slot, path table)
         for name, idx in self.nom_index.items():
-            role = self.roles[name]
-            if role.kind == "dependent":
+            if name in chained:
+                a = chained[name]
                 table = tuple(
-                    -1 if (q := apply_path(grid, p, role.path)) is None else grid.index(q)
-                    for p in cells
+                    -1 if (q := apply_path(grid, p, a.path)) is None else grid.index(q) for p in cells
                 )
-                self.dependents.append((idx, self.nom_index[role.dependee], table))
+                self.dependents.append((idx, self.nom_index[a.dependee], table))
                 continue
-            first = all_cells
-            if role.kind == "static":
-                step = tuple((c,) for c in all_cells)
-            elif role.kind == "fixed":
-                step = _fixed_successor_table(grid, role.moves)
-            elif role.kind == "dependee":
-                paths = [a.path for a in aset.relative_motions if a.dependee == name]
-                first = tuple(
-                    grid.index(p)
-                    for p in cells
-                    if all(apply_path(grid, p, path) is not None for path in paths)
-                )
-                step = (first,) * self.P
+            paths = [a.path for a in aset.relative_motions if a.dependee == name]
+            first = tuple(
+                grid.index(p) for p in cells if all(apply_path(grid, p, path) is not None for path in paths)
+            )
+            if name in static:
+                step = tuple((c,) for c in first)
+            elif name in moves:
+                step = _fixed_successor_table(grid, moves[name])
             else:
-                step = (all_cells,) * self.P
+                step = (first,) * self.P
             self.non_dependent.append(idx)
             self.first_cells.append(first)
             self.next_cells.append(step)
@@ -473,20 +452,16 @@ def trace_count_bound(cfg: CheckerConfig) -> int:
     """Upper bound on the motion generator's yield count.
 
     s * sum over k < max_len of (A * prod of per-nominal branching)^k,
-    where s counts the admissible initial states, A the admissible
-    per-step proposition assignments, and the branching factor is 1 for
-    static or dependent nominals, |moves| for fixed motion, and the cell
-    count otherwise.
+    where s counts the admissible initial states, A every proposition
+    assignment, and the branching factor is 1 for static or dependent
+    nominals, |moves| for fixed motion, and the cell count otherwise.
     """
     ctx = _Context(replace(cfg, algorithm=Algorithm.MOTION))
     s = sum(1 for _ in ctx.iter_initial_states())
+    aset = cfg.assumptions
+    tied = {a.nominal for a in aset.static_cars} | {a.dependent for a in aset.relative_motions}
+    moves = {a.nominal: len(a.moves) for a in aset.fixed_motions}
     factor = len(ctx.prop_masks)
     for name in cfg.noms:
-        role = ctx.roles[name]
-        if role.kind in ("static", "dependent"):
-            continue
-        if role.kind == "fixed":
-            factor *= len(role.moves)
-        else:
-            factor *= ctx.P
+        factor *= 1 if name in tied else moves.get(name, ctx.P)
     return s * sum(factor**k for k in range(cfg.max_len))

@@ -156,8 +156,11 @@ class CompiledFormula:
         self.aux = tuple(aux)
         self.nbr = neighbor_tables(g)
 
-    def _make_evaluator(self, states: list[EncodedState], memo: list[bool | None]):
-        """The memoized recursion; one memo serves any number of starts."""
+    def _run(self, states: list[EncodedState], memo: list[bool | None], use):
+        """``use(ev)``, where ``ev(node, k, p, tr)`` is the memoized recursion;
+        one memo serves any number of starts.  ``ev`` calls itself through
+        its closure, so that reference is dropped on return: the memo is
+        freed with the call, not by the cyclic collector."""
         n_nodes = self.n_nodes
         n_pos = self.grid.position_count
         kinds, args, args2, aux, nbr = self.kinds, self.args, self.args2, self.aux, self.nbr
@@ -202,7 +205,10 @@ class CompiledFormula:
             memo[key] = res
             return res
 
-        return ev
+        try:
+            return use(ev)
+        finally:
+            del ev
 
     def _fresh_memo(self, states: list[EncodedState]) -> list[bool | None]:
         return [None] * (len(states) * self.n_nodes * self.grid.position_count)
@@ -215,7 +221,7 @@ class CompiledFormula:
     def evaluate(self, states: list[EncodedState], p: int, stats: EvalStats | None = None) -> bool:
         states = self._padded(states)
         memo = self._fresh_memo(states)
-        result = self._make_evaluator(states, memo)(0, 0, p, states)
+        result = self._run(states, memo, lambda ev: ev(0, 0, p, states))
         if stats is not None:
             stats.memo_entries = sum(1 for v in memo if v is not None)
             stats.node_count = self.n_nodes
@@ -225,16 +231,16 @@ class CompiledFormula:
     def sat_point_indices(self, states: list[EncodedState]) -> list[int]:
         """Start cells (row-major indices) at which the formula holds."""
         states = self._padded(states)
+        starts = range(self.grid.position_count)
         memo = self._fresh_memo(states)
-        ev = self._make_evaluator(states, memo)
-        return [p for p in range(self.grid.position_count) if ev(0, 0, p, states)]
+        return self._run(states, memo, lambda ev: [p for p in starts if ev(0, 0, p, states)])
 
     def holds_everywhere(self, states: list[EncodedState]) -> bool:
         """True iff the formula holds at every start cell; stops at the first miss."""
         states = self._padded(states)
+        starts = range(self.grid.position_count)
         memo = self._fresh_memo(states)
-        ev = self._make_evaluator(states, memo)
-        return all(ev(0, 0, p, states) for p in range(self.grid.position_count))
+        return self._run(states, memo, lambda ev: all(ev(0, 0, p, states) for p in starts))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -242,33 +242,18 @@ def lower(a: Assumption) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Role assignment (the checker preconditions)
+# Structural validation (the motion checker's preconditions)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Role:
-    """Exactly one motion role per nominal.
-
-    ``kind`` is one of static / fixed / dependee / dependent / free.
-    """
-
-    kind: str
-    moves: frozenset[MovePath] | None = None
-    dependee: str | None = None
-    path: MovePath | None = None
-
-
-FREE = Role("free")
-
-
-def validate(aset: AssumptionSet, noms: Iterable[str]) -> dict[str, Role]:
+def validate(aset: AssumptionSet, noms: Iterable[str]) -> None:
     """Check the structural consistency the motion checker relies on.
 
     Rejects any nominal drawn into two motion roles, a nominal that is
     both a dependee and a dependent, and a dependent bound by more than
-    one relative motion assumption.  Purely structural: semantically
-    unsatisfiable combinations simply generate no traces.
+    one relative motion assumption, so each nominal is at most one of
+    static, fixed, dependee or dependent.  Purely structural:
+    semantically unsatisfiable combinations simply generate no traces.
 
     Deterministic and independent of assumption order: conflicts are
     detected pairwise regardless of which assumption came first.
@@ -304,10 +289,8 @@ def validate(aset: AssumptionSet, noms: Iterable[str]) -> dict[str, Role]:
                 if name not in noms and not name.startswith("_"):
                     problems.append(f"{type(a).__name__} formula mentions undeclared nominal {name!r}")
 
-    roles: dict[str, Role] = {name: FREE for name in sorted(noms)}
     for name in sorted(claims):
-        entries = claims[name]
-        kinds = [k for k, _ in entries]
+        kinds = [k for k, _ in claims[name]]
         distinct = sorted(set(kinds))
         if kinds.count("dependent") > 1:
             problems.append(f"nominal {name!r} appears as dependent in more than one relative motion assumption")
@@ -319,20 +302,6 @@ def validate(aset: AssumptionSet, noms: Iterable[str]) -> dict[str, Role]:
             problems.append(f"nominal {name!r} is assigned conflicting motion roles: {pairs}")
         if "dependee" in distinct and others:
             problems.append(f"nominal {name!r} is a dependee but also {others[0]}")
-        if problems:
-            continue
-        kind = distinct[0]
-        if kind == "static":
-            roles[name] = Role("static")
-        elif kind == "fixed":
-            assumption = next(a for k, a in entries if k == "fixed")
-            roles[name] = Role("fixed", moves=assumption.moves)
-        elif kind == "dependee":
-            roles[name] = Role("dependee")
-        else:
-            assumption = next(a for k, a in entries if k == "dependent")
-            roles[name] = Role("dependent", dependee=assumption.dependee, path=assumption.path)
 
     if problems:
         raise ValidationError("inconsistent assumption set: " + "; ".join(sorted(set(problems))))
-    return roles

@@ -1,13 +1,15 @@
 """Satisfaction semantics: fixtures, the naive-oracle differential, memo bounds."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import random_core_formula, random_trace, safe_follow_model
 from hstl.core import Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
-from hstl.evaluator import EvalStats, evaluate, evaluate_naive, sat_points
+from hstl.evaluator import CompiledFormula, EvalStats, evaluate, evaluate_naive, sat_points
 from hstl.formula import And, Bind, Nom, Prop, Top, desugar, index_nodes, parse
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
@@ -171,6 +173,29 @@ class TestSatPoints:
             f = random_core_formula(rng, ["q"], ["z0", "z1"], rng.randint(1, 10))
             expected = frozenset(p for p in g.positions() if evaluate(g, t, p, f))
             assert sat_points(g, t, f) == expected
+
+    def test_memo_is_freed_on_return(self):
+        # Each call's memo must die with the call, not wait for the cyclic
+        # collector: with the collector off, nothing of it may stay behind.
+        g = make_grid(6, 6)
+        text = "G (h -> F (<Front> h | ↓v X (k U @v Back h))) & (k U (h & X !k))"
+        compiled = CompiledFormula(prepared(text, ["h", "k"], [], g), g, ("h", "k"), ())
+        rng = random.Random(3)
+        states = [((rng.getrandbits(36), rng.getrandbits(36)), ()) for _ in range(40)]
+        memo_bytes = 8 * len(states) * compiled.n_nodes * g.position_count
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                compiled.sat_point_indices(states)
+            compiled.holds_everywhere(states)
+            compiled.evaluate(states, 0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert retained < memo_bytes // 10
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Assumption lowering, role validation, and lowering/semantics agreement."""
+"""Assumption lowering, structural validation, and lowering/semantics agreement."""
 
 import itertools
 import random
@@ -6,10 +6,11 @@ import random
 import pytest
 
 from conftest import random_assumption_set, random_trace
-from hstl.core import Direction, State, Trace, make_grid
+from hstl.checkers import Algorithm, generate_traces_motion, make_config
+from hstl.core import Direction, State, Trace, apply_path, make_grid
 from hstl.errors import ValidationError
 from hstl.evaluator import evaluate
-from hstl.formula import At, Bind, Globally, Nom, desugar, parse
+from hstl.formula import At, Bind, Globally, Nom, Top, desugar, parse
 from hstl.idioms import (
     FRESH_NOMINAL,
     AssumptionSet,
@@ -24,6 +25,16 @@ from hstl.idioms import (
 )
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
+
+
+def motion_stream(g, props, noms, aset, max_len=2):
+    """The motion generator's traces up to ``max_len``, in stream order."""
+    return list(generate_traces_motion(make_config(g, props, noms, aset, Top(), max_len, Algorithm.MOTION)))
+
+
+def nominal_cells(g, noms, aset):
+    """The motion stream at length 2, each trace as its states' nominal cells."""
+    return [[tuple(s.noms[v] for v in noms) for s in t.states] for t in motion_stream(g, [], noms, aset)]
 
 
 class TestLowering:
@@ -120,10 +131,14 @@ class TestValidate:
             validate(aset, {"z0", "z1", "z2"})
 
     def test_empty_set_leaves_everything_free(self):
-        roles = validate(AssumptionSet(), {"z0", "z1"})
-        assert {v: r.kind for v, r in roles.items()} == {"z0": "free", "z1": "free"}
+        g = make_grid(2, 2)
+        placements = list(itertools.product(g.positions(), repeat=2))
+        # Every placement, each first state followed by all its successors.
+        expected = [trace for a in placements for trace in [[a]] + [[a, b] for b in placements]]
+        assert nominal_cells(g, ["z0", "z1"], AssumptionSet()) == expected
 
     def test_roles_assigned(self):
+        g = make_grid(3, 2)
         aset = AssumptionSet(
             [
                 StaticCar("z0"),
@@ -131,16 +146,24 @@ class TestValidate:
                 RelativeMotion("z2", "z3", (F,)),
             ]
         )
-        roles = validate(aset, {"z0", "z1", "z2", "z3"})
-        assert roles["z0"].kind == "static"
-        assert roles["z1"].kind == "fixed"
-        assert roles["z2"].kind == "dependee"
-        assert roles["z3"].kind == "dependent"
-        assert roles["z3"].dependee == "z2"
+        traces = nominal_cells(g, ["z0", "z1", "z2", "z3"], aset)
+        cells = list(g.positions())
+        feasible = [p for p in cells if apply_path(g, p, (F,)) is not None]
+        firsts = [t[0] for t in traces if len(t) == 1]
+        steps = [t for t in traces if len(t) == 2]
+        # The dependee is kept feasible and the dependent completed in every state.
+        assert all(s[2] in feasible and s[3] == apply_path(g, s[2], (F,)) for t in traces for s in t)
+        assert len(firsts) == len(cells) ** 2 * len(feasible)
+        # The static nominal keeps its cell; the fixed one follows its move.
+        assert all(new[0] == old[0] and apply_path(g, new[1], (B,)) == old[1] for old, new in steps)
+        followers = {old: [q for q in cells if apply_path(g, q, (B,)) == old] for old in cells}
+        assert len(steps) == sum(len(followers[s[1]]) * len(feasible) for s in firsts)
+        assert {new[2] for _, new in steps} == set(feasible)
 
     def test_exact_duplicates_are_tolerated(self):
-        aset = AssumptionSet([StaticCar("z0"), StaticCar("z0")])
-        assert validate(aset, {"z0"})["z0"].kind == "static"
+        g = make_grid(2, 2)
+        single = nominal_cells(g, ["z0", "z1"], AssumptionSet([StaticCar("z0")]))
+        assert nominal_cells(g, ["z0", "z1"], AssumptionSet([StaticCar("z0"), StaticCar("z0")])) == single
 
     def test_static_dependee_rejected(self):
         aset = AssumptionSet([StaticCar("z0"), RelativeMotion("z0", "z1", (F,))])
@@ -156,6 +179,6 @@ class TestValidate:
         g = make_grid(2, 2)
         for _ in range(40):
             aset = random_assumption_set(rng, g, ["q"], ["z0", "z1"])
-            base = validate(aset, {"z0", "z1"})
-            for perm in itertools.islice(itertools.permutations(aset.assumptions), 6):
-                assert validate(AssumptionSet(perm), {"z0", "z1"}) == base
+            base = motion_stream(g, ["q"], ["z0", "z1"], aset)
+            for perm in itertools.islice(itertools.permutations(aset.assumptions), 1, 6):
+                assert motion_stream(g, ["q"], ["z0", "z1"], AssumptionSet(perm)) == base
