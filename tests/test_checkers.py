@@ -297,6 +297,29 @@ class TestMotion:
         for t in traces:
             assert len({s.noms["z"] for s in t.states}) == 1
 
+    def test_static_car_streams_like_fixed_stay_move(self):
+        # StaticCar(v) and FixedMotion(v, {()}) denote the same constraint:
+        # equal motion streams and equal motion emissions (baseline and
+        # optimized enforce neither, so theirs are equal trivially).
+        rng = random.Random(1717)
+        stay = frozenset({()})
+        for rows, cols in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
+            g = make_grid(rows, cols)
+            for props, noms in ((), ("z",)), (("h",), ("z",)), ((), ("z", "z1")), (("h",), ("z", "z1")):
+                s = state_count(g, len(props), len(noms))
+                n = 3 if s <= 64 else 2 if s <= 512 else 1
+                static = AssumptionSet([StaticCar("z")])
+                fixed = AssumptionSet([FixedMotion("z", stay)])
+                stream = list(generate_traces_motion(cfg_of(g, props, noms, static, n, Algorithm.MOTION)))
+                assert stream == list(generate_traces_motion(cfg_of(g, props, noms, fixed, n, Algorithm.MOTION)))
+                assert len(stream) == sum(s * (s // g.position_count) ** k for k in range(n))
+                spec = random_core_formula(rng, props, noms, 6)
+                emitted = [
+                    list(sat_traces(cfg_of(g, props, noms, aset, n, Algorithm.MOTION, spec=spec)))
+                    for aset in (static, fixed)
+                ]
+                assert emitted[0] == emitted[1], (g, props, noms, spec)
+
     def test_fixed_motion_follows_move_paths(self):
         # One car that must advance one row per step on a 3x1 road.
         g = make_grid(3, 1)
