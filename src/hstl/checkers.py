@@ -3,12 +3,14 @@
 Three generators of increasing selectivity produce every trace of length
 1..max_len compatible with the assumptions each enforces: the pruning
 assumptions that :func:`unenforced_assumptions` does not name.  They
-share one pipeline: a source of first states, a successor function, and
-one per-state filter by the enforced global-state assumptions (those
-whose formula has no G).  On a one-state trace a check's verdict depends
-only on the proposition masks and nominal cells its formula reads
-freely, so the filter evaluates each check once per distinct value of
-those slots and looks the verdict up for every other state.
+share one pipeline: one source of states (every proposition assignment
+and nominal placement, filtered by the enforced global-state
+assumptions, those whose formula has no G), the initial check on first
+states, and a successor function.  On a one-state trace a check's
+verdict depends only on the proposition masks and nominal cells its
+formula reads freely, so the filter evaluates each check once per
+distinct value of those slots and looks the verdict up for every other
+state.
 
 * baseline    — the full product space; it enforces no assumption, so
   the filter passes every state;
@@ -17,12 +19,12 @@ those slots and looks the verdict up for every other state.
   initial assumptions);
 * motion      — depth-first extension through per-slot successor tables
   built from the enforced static, fixed and relative motion assumptions:
-  a static nominal keeps its cell, a fixed-motion nominal moves to the
-  cells from which some move path leads back to its previous cell, a
-  dependee ranges over the cells keeping its dependents on-grid, any
-  other nominal over every cell; dependents are placed by path
-  completion.  Every proposition assignment is a candidate; candidate
-  states are filtered by the global-state assumptions.
+  a fixed-motion nominal moves to the cells from which some move path
+  leads back to its previous cell (a static nominal is one whose only
+  move is to stay), any other nominal ranges over every cell; dependents
+  are placed by path completion, and a placement that pushes one
+  off-grid is skipped.  Every proposition assignment is a candidate;
+  candidate states are filtered by the global-state assumptions.
 
 Raw assumptions never influence generation, and neither do global-state
 formulas with a nested G, which one state cannot decide (see
@@ -55,7 +57,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
-from .evaluator import EncodedState, compile_formula
+from .evaluator import EncodedState, _check_symbols, compile_formula
 from .formula import Formula, desugar, is_core
 from .idioms import Assumption, AssumptionSet, lower, validate
 
@@ -90,12 +92,15 @@ def make_config(
     max_len: int,
     algorithm: Algorithm,
 ) -> CheckerConfig:
-    """Validate and normalize a configuration; desugars the specification."""
+    """Validate and normalize a configuration; desugars the specification.  Every free
+    symbol of the specification and of the assumption formulas must be declared."""
     props = tuple(sorted(set(props)))
     noms = tuple(sorted(set(noms)))
     if max_len < 1:
         raise ValidationError(f"max trace length must be >= 1, got {max_len}")
     validate(assumptions, noms)
+    for a in assumptions.global_states + assumptions.initials + assumptions.raws:
+        _check_symbols(lower(a), props, noms)
     core_spec = spec if is_core(spec) else desugar(spec, grid)
     compile_formula(core_spec, grid, props, noms)  # raises on undeclared symbols
     return CheckerConfig(grid, props, noms, assumptions, core_spec, max_len, algorithm)
@@ -159,42 +164,29 @@ class _Context:
         self.global_checks = [self._state_check(a) for a in aset.global_states]
         self.initial_checks = [self._state_check(a) for a in aset.initials]
 
-        # Motion tables.  The proposition assignments (up to 2^(cells*props);
-        # only motion reads them); per non-dependent slot, the cells of a
-        # first state and per cell of the previous state those of the next:
-        # a static nominal keeps its cell, a fixed one follows its moves, and
-        # any other ranges over the cells that keep its dependents on-grid.
-        motion = cfg.algorithm is Algorithm.MOTION
-        self.prop_masks = list(_all_prop_masks(self.P, len(props))) if motion else []
-        cells = list(grid.positions())
-        static = {a.nominal for a in aset.static_cars}
-        moves = {a.nominal: a.moves for a in aset.fixed_motions}
+        # Motion tables: per non-dependent slot, the cells of the next state
+        # per cell of the previous one.  A static nominal is a fixed one
+        # whose only move is to stay; any other ranges over every cell.
+        moves = {a.nominal: ((),) for a in aset.static_cars}
+        moves.update((a.nominal, a.moves) for a in aset.fixed_motions)
         chained = {a.dependent: a for a in aset.relative_motions}
+        every = tuple(range(self.P))
         self.non_dependent: list[int] = []
-        self.first_cells: list[tuple[int, ...]] = []
         self.next_cells: list[tuple[tuple[int, ...], ...]] = []
         self.dependents: list[tuple[int, int, tuple[int, ...]]] = []  # (slot, dependee slot, path table)
         for name, idx in self.nom_index.items():
             if name in chained:
                 a = chained[name]
                 table = tuple(
-                    -1 if (q := apply_path(grid, p, a.path)) is None else grid.index(q) for p in cells
+                    -1 if (q := apply_path(grid, p, a.path)) is None else grid.index(q)
+                    for p in grid.positions()
                 )
                 self.dependents.append((idx, self.nom_index[a.dependee], table))
-                continue
-            paths = [a.path for a in aset.relative_motions if a.dependee == name]
-            first = tuple(
-                grid.index(p) for p in cells if all(apply_path(grid, p, path) is not None for path in paths)
-            )
-            if name in static:
-                step = tuple((c,) for c in first)
-            elif name in moves:
-                step = _fixed_successor_table(grid, moves[name])
             else:
-                step = (first,) * self.P
-            self.non_dependent.append(idx)
-            self.first_cells.append(first)
-            self.next_cells.append(step)
+                self.non_dependent.append(idx)
+                self.next_cells.append(
+                    _fixed_successor_table(grid, moves[name]) if name in moves else (every,) * self.P
+                )
 
         self.spec_compiled = compile_formula(cfg.spec, grid, props, noms)
 
@@ -248,11 +240,6 @@ class _Context:
 
     # -- state enumeration --------------------------------------------------------
 
-    def iter_all_states(self) -> Iterator[EncodedState]:
-        for masks in _all_prop_masks(self.P, len(self.props)):
-            for nom_cells in itertools.product(range(self.P), repeat=len(self.noms)):
-                yield (masks, nom_cells)
-
     def placements(self, choice_lists: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
         """Nominal cells for each choice of the non-dependent slots, in
         product order, with the dependents completed; a choice pushing a
@@ -268,16 +255,17 @@ class _Context:
             else:
                 yield tuple(cells)
 
-    def iter_initial_states(self, stop: StopCheck = None) -> Iterator[EncodedState]:
-        """First states: dependents completed, dependees kept feasible, the
-        global and initial assumptions checked.  Static and fixed nominals
-        are unconstrained in a length-1 trace."""
-        for masks in self.prop_masks:
-            for nom_cells in self.placements(self.first_cells):
+    def iter_states(self, stop: StopCheck = None) -> Iterator[EncodedState]:
+        """Every state passing the global checks: proposition assignments
+        outermost, then the placements over every cell with the dependents
+        completed."""
+        every = [range(self.P)] * len(self.non_dependent)
+        for masks in _all_prop_masks(self.P, len(self.props)):
+            for nom_cells in self.placements(every):
                 if stop is not None and stop():
                     return
                 enc = (masks, nom_cells)
-                if self.passes_global(enc) and self.passes_initial(enc):
+                if self.passes_global(enc):
                     yield enc
 
 
@@ -306,13 +294,12 @@ def _iter_encoded_optimized(ctx: _Context, stop: StopCheck = None) -> Iterator[t
     """Products over the filtered states, shorter traces first."""
     step_states = []
     first_states = []
-    for enc in ctx.iter_all_states():
-        if stop is not None and stop():
-            return
-        if ctx.passes_global(enc):
-            step_states.append(enc)
-            if ctx.passes_initial(enc):
-                first_states.append(enc)
+    for enc in ctx.iter_states(stop):
+        step_states.append(enc)
+        if ctx.passes_initial(enc):
+            first_states.append(enc)
+    if stop is not None and stop():
+        return
     for k in range(ctx.cfg.max_len):
         for head in first_states:
             for tail in itertools.product(step_states, repeat=k):
@@ -321,7 +308,7 @@ def _iter_encoded_optimized(ctx: _Context, stop: StopCheck = None) -> Iterator[t
 
 def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
     n = ctx.cfg.max_len
-    prop_masks = ctx.prop_masks
+    prop_masks = list(_all_prop_masks(ctx.P, len(ctx.props)))
     steps = tuple(zip(ctx.non_dependent, ctx.next_cells))
 
     def extend(k: int, state: EncodedState, trace: list[EncodedState]) -> Iterator[tuple[EncodedState, ...]]:
@@ -339,8 +326,9 @@ def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tupl
                     yield from extend(k + 1, enc, trace)
                     trace.pop()
 
-    for init in ctx.iter_initial_states(stop):
-        yield from extend(1, init, [init])
+    for init in ctx.iter_states(stop):
+        if ctx.passes_initial(init):
+            yield from extend(1, init, [init])
 
 
 def _iter_encoded(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
@@ -451,17 +439,14 @@ def sat_traces(cfg: CheckerConfig, stop: StopCheck = None) -> CheckResult:
 def trace_count_bound(cfg: CheckerConfig) -> int:
     """Upper bound on the motion generator's yield count.
 
-    s * sum over k < max_len of (A * prod of per-nominal branching)^k,
-    where s counts the admissible initial states, A every proposition
-    assignment, and the branching factor is 1 for static or dependent
-    nominals, |moves| for fixed motion, and the cell count otherwise.
+    s * sum over k < max_len of (A * prod of per-slot branching)^k, where
+    s counts the admissible initial states, A every proposition
+    assignment, and a non-dependent slot branches by its largest
+    successor set (a dependent is placed, so it does not branch).
     """
     ctx = _Context(replace(cfg, algorithm=Algorithm.MOTION))
-    s = sum(1 for _ in ctx.iter_initial_states())
-    aset = cfg.assumptions
-    tied = {a.nominal for a in aset.static_cars} | {a.dependent for a in aset.relative_motions}
-    moves = {a.nominal: len(a.moves) for a in aset.fixed_motions}
-    factor = len(ctx.prop_masks)
-    for name in cfg.noms:
-        factor *= 1 if name in tied else moves.get(name, ctx.P)
+    s = sum(1 for enc in ctx.iter_states() if ctx.passes_initial(enc))
+    factor = 1 << (ctx.P * len(ctx.props))
+    for table in ctx.next_cells:
+        factor *= max(map(len, table))
     return s * sum(factor**k for k in range(cfg.max_len))

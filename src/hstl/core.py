@@ -330,6 +330,14 @@ def _position_from_pair(g: GridGraph, pair, what: str) -> Position:
     return p
 
 
+def as_tuple(value, what: str) -> tuple:
+    """``tuple(value)``, or a ValidationError naming ``what`` if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what}: expected a list, got {value!r}") from None
+
+
 def trace_from_json_dict(doc: Mapping) -> Trace:
     """Parse the interchange schema; raises ValidationError with context."""
     try:
@@ -348,8 +356,9 @@ def trace_from_json_dict(doc: Mapping) -> Trace:
         raise ValidationError("a trace needs a nonempty list of states")
     states = []
     for idx, sdoc in enumerate(state_docs):
-        sprops = sdoc.get("props", {})
-        snoms = sdoc.get("noms", {})
+        if not isinstance(sdoc, dict) or not all(isinstance(sdoc.get(k, {}), dict) for k in ("props", "noms")):
+            raise ValidationError(f'state {idx}: expected {{"props": {{...}}, "noms": {{...}}}}, got {sdoc!r}')
+        sprops, snoms = sdoc.get("props", {}), sdoc.get("noms", {})
         if set(sprops) - set(props):
             raise ValidationError(f"state {idx}: undeclared propositions {set(sprops) - set(props)}")
         if set(snoms) != set(noms):
@@ -357,7 +366,7 @@ def trace_from_json_dict(doc: Mapping) -> Trace:
         prop_map = {
             a: frozenset(
                 _position_from_pair(g, pair, f"state {idx}, proposition {a!r}")
-                for pair in sprops.get(a, [])
+                for pair in as_tuple(sprops.get(a, []), f"state {idx}, proposition {a!r}")
             )
             for a in props
         }

@@ -9,11 +9,13 @@ Two routes are provided on purpose and kept independent:
   viewpoint cell must be part of the key: the target of an ``@`` jump is
   read at the current timestep, so a node below an ``@`` inside an
   until can be reached at one (timestep, occurrence) pair with several
-  viewpoints.  The cell closes the key: every in-scope binder capture
-  sits at a fixed spatial offset from the current cell of its reading
-  occurrence, so (timestep, occurrence, cell) determines all inputs a
-  node can observe, and the substituted traces created by binders need
-  not be keyed.
+  viewpoints.  A binder ``↓v`` writes the current cell into ``v``'s
+  capture slot, which the recursion carries to every node below it (a
+  freeze quantifier writing a register); nominal reads and ``@`` jumps
+  prefer a captured cell to the state's.  The memo key does not include
+  the captures, so once an ``@`` jump follows a binder a node can be
+  reached at one key with different captures and reuse a wrong answer
+  (ROADMAP.md, item 1a).
 * :func:`evaluate_naive` — a direct recursive transcription of the
   semantics built on the trace-surgery operations of :mod:`hstl.core`.
   No memo, no compilation; it exists as an oracle.
@@ -21,8 +23,8 @@ Two routes are provided on purpose and kept independent:
 Moving off the grid makes a spatial modality false rather than raising.
 A memo table is private to one evaluation call; concurrent evaluations
 on shared immutable inputs are independent.  :func:`sat_points` runs all
-start positions against one shared table, which the position-carrying
-key makes sound.
+start positions against one shared table, with the same caveat on
+captures.
 """
 
 from __future__ import annotations
@@ -100,9 +102,9 @@ class CompiledFormula:
     reads freely; on a one-state trace nothing else of the state can
     change its truth value (a nominal read only under its own binder is
     written before it is read).  A nominal that only a binder
-    introduces gets a slot after the declared ones; the evaluation
-    methods append ``pad`` (placeholder cells, never read before the
-    binder writes them), so callers encode states over ``noms`` only.
+    introduces gets a capture slot after the declared ones, which the
+    binder writes before anything reads it, so callers encode states
+    over ``noms`` only.
 
     The memo can hold at most trace-length * node-count * cell-count
     entries.  Unless a temporal operator sits below an ``@`` whose
@@ -112,7 +114,7 @@ class CompiledFormula:
     """
 
     __slots__ = (
-        "grid", "pad", "prop_slots", "nom_slots", "n_nodes", "kinds", "args", "args2", "aux", "nbr"
+        "grid", "free_env", "prop_slots", "nom_slots", "n_nodes", "kinds", "args", "args2", "aux", "nbr"
     )
 
     def __init__(self, f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]):
@@ -146,7 +148,7 @@ class CompiledFormula:
             else:  # Bind
                 kinds[nid], args[nid], aux[nid] = _BIND, kids[0], nom_index[node.nominal]
         self.grid = g
-        self.pad = (0,) * len(extras)
+        self.free_env = (None,) * len(nom_index)
         self.prop_slots = tuple(sorted(prop_index[name] for name in usage.props))
         self.nom_slots = tuple(sorted(nom_index[name] for name in usage.noms))
         self.n_nodes = n
@@ -157,16 +159,17 @@ class CompiledFormula:
         self.nbr = neighbor_tables(g)
 
     def _run(self, states: list[EncodedState], memo: list[bool | None], use):
-        """``use(ev)``, where ``ev(node, k, p, tr)`` is the memoized recursion;
-        one memo serves any number of starts.  ``ev`` calls itself through
-        its closure, so that reference is dropped on return: the memo is
-        freed with the call, not by the cyclic collector."""
+        """``use(holds)``, where ``holds(p)`` runs the memoized recursion
+        ``ev(node, k, p, env)`` from cell ``p``; every start shares the memo.
+        ``env`` holds per nominal slot the cell its innermost enclosing binder
+        captured, or None to read the state.  ``ev`` refers to itself through
+        its closure; dropping it on return frees the memo with the call."""
         n_nodes = self.n_nodes
         n_pos = self.grid.position_count
         kinds, args, args2, aux, nbr = self.kinds, self.args, self.args2, self.aux, self.nbr
         last = len(states) - 1
 
-        def ev(node: int, k: int, p: int, tr: list[EncodedState]) -> bool:
+        def ev(node: int, k: int, p: int, env: tuple[int | None, ...]) -> bool:
             key = (k * n_nodes + node) * n_pos + p
             hit = memo[key]
             if hit is not None:
@@ -175,53 +178,47 @@ class CompiledFormula:
             if kind == _TOP:
                 res = True
             elif kind == _PROP:
-                res = bool(tr[k][0][aux[node]] >> p & 1)
+                res = bool(states[k][0][aux[node]] >> p & 1)
             elif kind == _NOM:
-                res = tr[k][1][aux[node]] == p
+                cell = env[aux[node]]
+                res = (states[k][1][aux[node]] if cell is None else cell) == p
             elif kind == _NOT:
-                res = not ev(args[node], k, p, tr)
+                res = not ev(args[node], k, p, env)
             elif kind == _AND:
-                res = ev(args[node], k, p, tr) and ev(args2[node], k, p, tr)
+                res = ev(args[node], k, p, env) and ev(args2[node], k, p, env)
             elif kind == _NEXT:
-                res = k < last and ev(args[node], k + 1, p, tr)
+                res = k < last and ev(args[node], k + 1, p, env)
             elif kind == _UNTIL:
-                if ev(args2[node], k, p, tr):
+                if ev(args2[node], k, p, env):
                     res = True
                 elif k < last:
-                    res = ev(args[node], k, p, tr) and ev(node, k + 1, p, tr)
+                    res = ev(args[node], k, p, env) and ev(node, k + 1, p, env)
                 else:
                     res = False
             elif kind == _SPATIAL:
                 q = nbr[aux[node]][p]
-                res = q >= 0 and ev(args[node], k, q, tr)
+                res = q >= 0 and ev(args[node], k, q, env)
             elif kind == _AT:
-                res = ev(args[node], k, tr[k][1][aux[node]], tr)
+                cell = env[aux[node]]
+                res = ev(args[node], k, states[k][1][aux[node]] if cell is None else cell, env)
             else:  # _BIND
                 ni = aux[node]
-                tr2 = tr[:k] + [
-                    (props, noms[:ni] + (p,) + noms[ni + 1 :]) for props, noms in tr[k:]
-                ]
-                res = ev(args[node], k, p, tr2)
+                res = ev(args[node], k, p, env[:ni] + (p,) + env[ni + 1 :])
             memo[key] = res
             return res
 
+        free = self.free_env
         try:
-            return use(ev)
+            return use(lambda p: ev(0, 0, p, free))
         finally:
             del ev
 
     def _fresh_memo(self, states: list[EncodedState]) -> list[bool | None]:
         return [None] * (len(states) * self.n_nodes * self.grid.position_count)
 
-    def _padded(self, states: list[EncodedState]) -> list[EncodedState]:
-        """Append the binder slots' placeholder cells to each state."""
-        pad = self.pad
-        return [(props, noms + pad) for props, noms in states] if pad else states
-
     def evaluate(self, states: list[EncodedState], p: int, stats: EvalStats | None = None) -> bool:
-        states = self._padded(states)
         memo = self._fresh_memo(states)
-        result = self._run(states, memo, lambda ev: ev(0, 0, p, states))
+        result = self._run(states, memo, lambda holds: holds(p))
         if stats is not None:
             stats.memo_entries = sum(1 for v in memo if v is not None)
             stats.node_count = self.n_nodes
@@ -230,17 +227,15 @@ class CompiledFormula:
 
     def sat_point_indices(self, states: list[EncodedState]) -> list[int]:
         """Start cells (row-major indices) at which the formula holds."""
-        states = self._padded(states)
         starts = range(self.grid.position_count)
         memo = self._fresh_memo(states)
-        return self._run(states, memo, lambda ev: [p for p in starts if ev(0, 0, p, states)])
+        return self._run(states, memo, lambda holds: [p for p in starts if holds(p)])
 
     def holds_everywhere(self, states: list[EncodedState]) -> bool:
         """True iff the formula holds at every start cell; stops at the first miss."""
-        states = self._padded(states)
         starts = range(self.grid.position_count)
         memo = self._fresh_memo(states)
-        return self._run(states, memo, lambda ev: all(ev(0, 0, p, states) for p in starts))
+        return self._run(states, memo, lambda holds: all(map(holds, starts)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -248,7 +243,7 @@ def compile_formula(
     f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]
 ) -> CompiledFormula:
     """Compile (cached) over the declared names; raises on undeclared free
-    symbols, and pads binder-only nominals inside the compiled formula."""
+    symbols.  Binder-only nominals need no declaration."""
     return CompiledFormula(f, g, props, noms)
 
 

@@ -448,7 +448,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 def validate_name(name: str, role: str) -> None:
     """Reject malformed, reserved, or internally-prefixed names."""
-    if not _NAME_RE.fullmatch(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ValidationError(f"{role} name {name!r} is not a valid identifier")
     if name in _KEYWORDS:
         raise ValidationError(f"{role} name {name!r} collides with a reserved keyword")
@@ -597,6 +597,8 @@ def parse(text: str, props: frozenset[str] | set[str], noms: frozenset[str] | se
     unknown identifier is an error, as is a name clash between the two
     declared sets.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"a formula must be a string, got {text!r}")
     props = frozenset(props)
     noms = frozenset(noms)
     clash = props & noms

@@ -43,7 +43,6 @@ from .formula import (
     Until,
     WeakNext,
     children,
-    symbols,
 )
 
 FRESH_NOMINAL = "_w"
@@ -283,11 +282,6 @@ def validate(aset: AssumptionSet, noms: Iterable[str]) -> None:
         claim(a.dependent, "dependent", a)
     for a in aset.global_states:
         check_declared(a.viewpoint, a)
-    for a in aset.assumptions:
-        if isinstance(a, (GlobalState, Initial, Raw)):
-            for name in sorted(symbols(lower(a)).noms):
-                if name not in noms and not name.startswith("_"):
-                    problems.append(f"{type(a).__name__} formula mentions undeclared nominal {name!r}")
 
     for name in sorted(claims):
         kinds = [k for k, _ in claims[name]]

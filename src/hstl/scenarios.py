@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Direction, GridGraph, make_grid
+from .core import Direction, GridGraph, as_tuple, make_grid
 from .errors import ParseError, ValidationError
 from .formula import Formula, parse
 from .idioms import (
@@ -179,7 +179,7 @@ def scenario_to_json_dict(s: Scenario) -> dict:
 
 def scenario_from_json_dict(doc: dict) -> Scenario:
     def need(key: str):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise ValidationError(f"scenario document: missing {key!r}")
         return doc[key]
 
@@ -187,7 +187,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     if not isinstance(grid_doc, dict) or "rows" not in grid_doc or "cols" not in grid_doc:
         raise ValidationError('scenario document: "grid" must be {"rows": R, "cols": C}')
     assumptions = []
-    for i, entry in enumerate(need("assumptions")):
+    for i, entry in enumerate(as_tuple(need("assumptions"), "scenario document: 'assumptions'")):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ValidationError(f"assumption {i}: each assumption needs a 'kind'")
         known = {"kind", "nominal", "formula", "dependee", "dependent", "path", "moves"}
@@ -202,20 +202,25 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
                     formula=entry.get("formula"),
                     dependee=entry.get("dependee"),
                     dependent=entry.get("dependent"),
-                    path=tuple(entry["path"]) if "path" in entry else None,
-                    moves=tuple(tuple(m) for m in entry["moves"]) if "moves" in entry else None,
+                    path=as_tuple(entry["path"], "'path'") if "path" in entry else None,
+                    moves=tuple(as_tuple(m, "move") for m in as_tuple(entry["moves"], "'moves'"))
+                    if "moves" in entry else None,
                 )
             )
         except ValidationError as exc:
             raise ValidationError(f"assumption {i}: {exc}") from exc
+    try:
+        max_len = int(need("max_trace_length"))
+    except (TypeError, ValueError):
+        raise ValidationError(f"scenario document: bad max_trace_length {doc['max_trace_length']!r}") from None
     return Scenario(
         name=str(need("name")),
         grid=make_grid(grid_doc["rows"], grid_doc["cols"]),
-        propositions=tuple(need("propositions")),
-        nominals=tuple(need("nominals")),
+        propositions=as_tuple(need("propositions"), "scenario document: 'propositions'"),
+        nominals=as_tuple(need("nominals"), "scenario document: 'nominals'"),
         assumptions=tuple(assumptions),
-        specification=tuple(need("specification")),
-        max_trace_length=int(need("max_trace_length")),
+        specification=as_tuple(need("specification"), "scenario document: 'specification'"),
+        max_trace_length=max_len,
     )
 
 

@@ -27,7 +27,7 @@ from hstl.checkers import (
 from hstl.core import DIRECTIONS, Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
 from hstl.evaluator import CompiledFormula, compile_formula, evaluate, sat_points
-from hstl.formula import And, At, Bind, Globally, Nom, Not, Or, Spatial, Top, desugar, parse
+from hstl.formula import And, At, Bind, Globally, Nom, Not, Or, Prop, Spatial, Top, desugar, parse
 from hstl.harness import conjoin
 from hstl.idioms import (
     AssumptionSet,
@@ -398,6 +398,16 @@ class TestMotion:
         aset = AssumptionSet([StaticCar("z"), FixedMotion("z", frozenset({(F,)}))])
         with pytest.raises(ValidationError):
             cfg_of(g, [], ["z"], aset, 2, Algorithm.MOTION)
+
+    def test_undeclared_assumption_symbols_rejected_under_every_algorithm(self):
+        # Baseline enforces no assumption, yet rejects what the others
+        # cannot compile: make_config checks every assumption formula.
+        g = make_grid(2, 1)
+        for wrap in (lambda f: GlobalState("z", f), Initial, Raw):
+            for atom, kind in ((Prop("k"), "propositions"), (Nom("y"), "nominals")):
+                for algorithm in Algorithm:
+                    with pytest.raises(ValidationError, match=f"undeclared {kind}"):
+                        cfg_of(g, ["h"], ["z"], AssumptionSet([wrap(atom)]), 2, algorithm)
 
 
 class TestSatTraces:

@@ -8,7 +8,7 @@ import pytest
 
 from hstl.cli import main
 from hstl.core import Position, State, Trace, make_grid, trace_to_json_dict
-from hstl.scenarios import intersection, save_scenario
+from hstl.scenarios import intersection, save_scenario, scenario_to_json_dict
 
 
 @pytest.fixture
@@ -157,6 +157,58 @@ class TestRender:
         assert out.startswith("t=0")
         assert "t=1" in out
         assert "z1" in out and "h" in out
+
+
+def _trace_doc(edit):
+    g = make_grid(2, 1)
+    doc = trace_to_json_dict(Trace([State(g, {"h": [Position(2, 1)]}, {"z": Position(1, 1)})]))
+    edit(doc)
+    return doc
+
+
+def _scenario_doc(edit):
+    doc = scenario_to_json_dict(intersection(2))
+    edit(doc)
+    return doc
+
+
+_MALFORMED_TRACES = {
+    "states_not_objects": lambda d: d.update(states=[5]),
+    "cells_not_a_list": lambda d: d["states"][0]["props"].update(h=5),
+}
+_MALFORMED_SCENARIOS = {
+    "assumptions_not_a_list": lambda d: d.update(assumptions=5),
+    "relative_path_not_a_list": lambda d: d.update(
+        assumptions=[{"kind": "relative", "dependee": "z0", "dependent": "z1", "path": 5}]
+    ),
+    "fixed_move_not_a_list": lambda d: d.update(assumptions=[{"kind": "fixed", "nominal": "z1", "moves": [5]}]),
+    "formula_not_a_string": lambda d: d.update(assumptions=[{"kind": "raw", "formula": 5}]),
+    "max_trace_length_not_a_number": lambda d: d.update(max_trace_length="x"),
+}
+
+
+class TestMalformedInput:
+    """Valid JSON of the wrong shape is an error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("command", ["render", "eval"])
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_TRACES))
+    def test_trace_file(self, command, name, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(_trace_doc(_MALFORMED_TRACES[name])), encoding="utf-8")
+        args = ["--trace", str(path)]
+        if command == "eval":
+            args += ["--grid", "2x1", "--formula", "h", "--point", "1,1"]
+        assert main([command] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_SCENARIOS))
+    def test_scenario_file(self, name, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_scenario_doc(_MALFORMED_SCENARIOS[name])), encoding="utf-8")
+        assert main(["check", "--scenario", str(path), "--algorithm", "motion"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestValidities:
