@@ -170,6 +170,46 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(aset, {"z0", "z1"})
 
+    @pytest.mark.parametrize(
+        "assumptions, accepted",
+        [
+            ([StaticCar("z0"), FixedMotion("z0", frozenset({(F,)}))], False),
+            ([FixedMotion("z0", frozenset({(F,)})), FixedMotion("z0", frozenset({(B,)}))], False),
+            ([RelativeMotion("z0", "z1", (F,)), RelativeMotion("z1", "z2", (F,))], False),
+            ([RelativeMotion("z0", "z1", (F,)), RelativeMotion("z2", "z1", (B,))], False),
+            ([StaticCar("z0"), RelativeMotion("z0", "z1", (F,))], False),
+            ([FixedMotion("z0", frozenset({(F,)})), RelativeMotion("z0", "z1", (F,))], False),
+            ([RelativeMotion("z0", "z1", (F,)), RelativeMotion("z0", "z2", (B,))], True),
+            ([StaticCar("z0"), StaticCar("z0")], True),
+            ([FixedMotion("z0", frozenset({(F,)})), FixedMotion("z0", frozenset({(F,)}))], True),
+            ([RelativeMotion("z0", "z1", (F,)), RelativeMotion("z0", "z1", (F,))], True),
+        ],
+        ids=[
+            "static_and_fixed",
+            "fixed_twice_different_moves",
+            "dependee_also_dependent",
+            "dependent_of_two",
+            "static_dependee",
+            "fixed_dependee",
+            "dependee_of_two",
+            "duplicate_static",
+            "duplicate_fixed",
+            "duplicate_relative",
+        ],
+    )
+    def test_motion_roles_through_make_config(self, assumptions, accepted):
+        # Each nominal holds one role: static, fixed, the dependent of one
+        # relative motion, or the dependee of any number of them.
+        for algorithm in Algorithm:
+            build = lambda: make_config(
+                make_grid(3, 1), [], ["z0", "z1", "z2"], AssumptionSet(assumptions), Top(), 2, algorithm
+            )
+            if accepted:
+                build()
+            else:
+                with pytest.raises(ValidationError):
+                    build()
+
     def test_undeclared_nominal_reported(self):
         with pytest.raises(ValidationError, match="undeclared"):
             validate(AssumptionSet([StaticCar("ghost")]), {"z0"})
