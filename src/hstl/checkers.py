@@ -44,8 +44,10 @@ first.  Motion's first states also vary the assignments outermost; its
 successor steps vary the placements outermost and the assignments
 innermost, depth-first, each prefix yielded before it is extended.
 
-Generators are lazy single-consumer streams; distinct runs may execute
-on parallel workers, and all shared inputs are immutable.
+Every configuration passes :func:`make_config`, the one check of its
+names and motion roles.  Generators are lazy single-consumer streams;
+distinct runs may execute on parallel workers, and all shared inputs are
+immutable.
 """
 
 from __future__ import annotations
@@ -92,15 +94,20 @@ def make_config(
     max_len: int,
     algorithm: Algorithm,
 ) -> CheckerConfig:
-    """Validate and normalize a configuration; desugars the specification.  Every free
-    symbol of the specification and of the assumption formulas must be declared."""
+    """The one check of a configuration's names and roles; desugars the
+    specification.  Rejects a length below 1, a name declared as both
+    proposition and nominal, an undeclared free symbol of the specification
+    or of any assumption's lowering (a motion assumption's vehicles
+    included), and the motion roles :func:`~hstl.idioms.validate` rejects."""
     props = tuple(sorted(set(props)))
     noms = tuple(sorted(set(noms)))
     if max_len < 1:
         raise ValidationError(f"max trace length must be >= 1, got {max_len}")
-    validate(assumptions, noms)
-    for a in assumptions.global_states + assumptions.initials + assumptions.raws:
+    if both := set(props).intersection(noms):
+        raise ValidationError(f"names declared as both proposition and nominal: {sorted(both)}")
+    for a in assumptions.assumptions:
         _check_symbols(lower(a), props, noms)
+    validate(assumptions)
     core_spec = spec if is_core(spec) else desugar(spec, grid)
     compile_formula(core_spec, grid, props, noms)  # raises on undeclared symbols
     return CheckerConfig(grid, props, noms, assumptions, core_spec, max_len, algorithm)
@@ -310,6 +317,7 @@ def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tupl
     n = ctx.cfg.max_len
     prop_masks = list(_all_prop_masks(ctx.P, len(ctx.props)))
     steps = tuple(zip(ctx.non_dependent, ctx.next_cells))
+    filtered = bool(ctx.global_checks)  # with no check every candidate passes
 
     def extend(k: int, state: EncodedState, trace: list[EncodedState]) -> Iterator[tuple[EncodedState, ...]]:
         yield tuple(trace)
@@ -321,7 +329,7 @@ def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tupl
                 return
             for masks in prop_masks:
                 enc = (masks, nom_cells)
-                if ctx.passes_global(enc):
+                if not filtered or ctx.passes_global(enc):
                     trace.append(enc)
                     yield from extend(k + 1, enc, trace)
                     trace.pop()

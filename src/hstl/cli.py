@@ -66,10 +66,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     grid = make_grid(rows, cols)
     doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
     trace = trace_from_json_dict(doc)
-    if trace.grid != grid:
-        raise HstlError(
-            f"trace file is over a {trace.grid.rows}x{trace.grid.cols} grid, not {rows}x{cols}"
-        )
     try:
         i, j = (int(part) for part in args.point.split(","))
     except ValueError:

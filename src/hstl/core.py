@@ -11,6 +11,7 @@ total but deliberately NOT injective: two nominals may share a cell,
 which is what makes collision specifications meaningful.
 
 All types here are immutable values, safe to share between workers.
+:func:`read_field` is the one field reader of the trace and scenario loaders.
 """
 
 from __future__ import annotations
@@ -330,29 +331,33 @@ def _position_from_pair(g: GridGraph, pair, what: str) -> Position:
     return p
 
 
-def as_tuple(value, what: str) -> tuple:
-    """``tuple(value)``, or a ValidationError naming ``what`` if it is not iterable."""
+def read_field(doc, key, what: str, kind: type | tuple[type, ...] = (list, tuple)):
+    """``doc[key]`` (an object's key or a list's index) if present and a
+    ``kind``: by default a list, or a tuple from a Python caller, never a
+    string.  Otherwise a ValidationError naming the field as missing or mistyped."""
     try:
-        return tuple(value)
-    except TypeError:
-        raise ValidationError(f"{what}: expected a list, got {value!r}") from None
+        value = doc[key]
+    except (KeyError, IndexError, TypeError):
+        raise ValidationError(f"{what}: missing {key!r}") from None
+    if not isinstance(value, kind):
+        expected = {dict: "an object", int: "an integer"}.get(kind, "a list")
+        raise ValidationError(f"{what}: {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def trace_from_json_dict(doc: Mapping) -> Trace:
     """Parse the interchange schema; raises ValidationError with context."""
-    try:
-        grid_doc = doc["grid"]
-        g = make_grid(grid_doc["rows"], grid_doc["cols"])
-        props = list(doc["propositions"])
-        noms = list(doc["nominals"])
-        state_docs = doc["states"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed trace document: missing {exc}") from exc
+    what = "malformed trace document"
+    grid_doc = read_field(doc, "grid", what, dict)
+    g = make_grid(read_field(grid_doc, "rows", "'grid'", int), read_field(grid_doc, "cols", "'grid'", int))
+    props = list(read_field(doc, "propositions", what))
+    noms = list(read_field(doc, "nominals", what))
+    state_docs = read_field(doc, "states", what)
     if len(set(props)) != len(props) or len(set(noms)) != len(noms):
         raise ValidationError("duplicate names in propositions/nominals")
     if set(props) & set(noms):
         raise ValidationError("propositions and nominals must be disjoint")
-    if not isinstance(state_docs, list) or not state_docs:
+    if not state_docs:
         raise ValidationError("a trace needs a nonempty list of states")
     states = []
     for idx, sdoc in enumerate(state_docs):
@@ -366,7 +371,7 @@ def trace_from_json_dict(doc: Mapping) -> Trace:
         prop_map = {
             a: frozenset(
                 _position_from_pair(g, pair, f"state {idx}, proposition {a!r}")
-                for pair in as_tuple(sprops.get(a, []), f"state {idx}, proposition {a!r}")
+                for pair in (read_field(sprops, a, f"state {idx}") if a in sprops else ())
             )
             for a in props
         }

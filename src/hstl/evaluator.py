@@ -275,17 +275,21 @@ def _check_symbols(
     return usage, tuple(sorted(usage.bound.difference(noms)))
 
 
-def _prepare(g: GridGraph, t: Trace, f: Formula) -> tuple[CompiledFormula, list[EncodedState]]:
+def _check_inputs(g: GridGraph, t: Trace, p: Position | None = None) -> None:
+    """The one check that the trace is over ``g`` and the start point on it."""
     if t.grid != g:
         raise ValidationError(f"trace is over a {t.grid.rows}x{t.grid.cols} grid, not {g.rows}x{g.cols}")
+    if p is not None and not g.contains(p):
+        raise ValidationError(f"start point {p} is outside the {g.rows}x{g.cols} grid")
+
+
+def _prepare(
+    g: GridGraph, t: Trace, f: Formula, p: Position | None = None
+) -> tuple[CompiledFormula, list[EncodedState]]:
+    _check_inputs(g, t, p)
     compiled = compile_formula(f, g, t.prop_names, t.nominal_names)
     states = [encode_state(s, g, t.prop_names) for s in t.states]
     return compiled, states
-
-
-def _check_point(g: GridGraph, p: Position) -> None:
-    if not g.contains(p):
-        raise ValidationError(f"start point {p} is outside the {g.rows}x{g.cols} grid")
 
 
 def evaluate(g: GridGraph, t: Trace, p: Position, f: Formula, stats: EvalStats | None = None) -> bool:
@@ -294,8 +298,7 @@ def evaluate(g: GridGraph, t: Trace, p: Position, f: Formula, stats: EvalStats |
     ``f`` must be core-only (run :func:`hstl.formula.desugar` first).
     Undeclared symbols raise; they are never silently false.
     """
-    _check_point(g, p)
-    compiled, states = _prepare(g, t, f)
+    compiled, states = _prepare(g, t, f, p)
     return compiled.evaluate(states, g.index(p), stats)
 
 
@@ -312,9 +315,7 @@ def sat_points(g: GridGraph, t: Trace, f: Formula) -> frozenset[Position]:
 
 def evaluate_naive(g: GridGraph, t: Trace, p: Position, f: Formula) -> bool:
     """Direct recursive reading of the semantics; quadratic and proud of it."""
-    _check_point(g, p)
-    if t.grid != g:
-        raise ValidationError("trace grid does not match the supplied grid")
+    _check_inputs(g, t, p)
     if not is_core(f):
         raise ValidationError("formula must be desugared before evaluation")
     _, extras = _check_symbols(f, t.prop_names, t.nominal_names)

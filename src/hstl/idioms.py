@@ -241,61 +241,31 @@ def lower(a: Assumption) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Structural validation (the motion checker's preconditions)
+# Role validation (the motion checker's preconditions)
 # ---------------------------------------------------------------------------
 
 
-def validate(aset: AssumptionSet, noms: Iterable[str]) -> None:
-    """Check the structural consistency the motion checker relies on.
+_ROLES = {StaticCar: "static", FixedMotion: "fixed", RelativeMotion: "dependent"}
 
-    Rejects any nominal drawn into two motion roles, a nominal that is
-    both a dependee and a dependent, and a dependent bound by more than
-    one relative motion assumption, so each nominal is at most one of
-    static, fixed, dependee or dependent.  Purely structural:
-    semantically unsatisfiable combinations simply generate no traces.
 
-    Deterministic and independent of assumption order: conflicts are
-    detected pairwise regardless of which assumption came first.
-    """
-    noms = set(noms)
-    problems: list[str] = []
-
-    def check_declared(name: str, a: Assumption) -> None:
-        if name not in noms:
-            problems.append(f"{type(a).__name__} mentions undeclared nominal {name!r}")
-
-    claims: dict[str, list[tuple[str, Assumption]]] = {}
-
-    def claim(name: str, kind: str, a: Assumption) -> None:
-        check_declared(name, a)
-        entry = (kind, a)
-        existing = claims.setdefault(name, [])
-        if entry not in existing:  # exact duplicates are harmless
-            existing.append(entry)
-
-    for a in aset.static_cars:
-        claim(a.nominal, "static", a)
-    for a in aset.fixed_motions:
-        claim(a.nominal, "fixed", a)
-    for a in aset.relative_motions:
-        claim(a.dependee, "dependee", a)
-        claim(a.dependent, "dependent", a)
-    for a in aset.global_states:
-        check_declared(a.viewpoint, a)
-
-    for name in sorted(claims):
-        kinds = [k for k, _ in claims[name]]
-        distinct = sorted(set(kinds))
-        if kinds.count("dependent") > 1:
+def validate(aset: AssumptionSet) -> None:
+    """Check the motion roles the motion checker relies on: each nominal is
+    static, fixed, or the dependent of one relative motion, or else the
+    dependee of any number of them; exact duplicates are harmless.  Purely
+    structural and independent of assumption order: unsatisfiable
+    combinations simply generate no traces.  Names are checked by
+    :func:`~hstl.checkers.make_config`."""
+    held: dict[str, set[Assumption]] = {}  # nominal -> the assumptions giving it a role
+    for a in aset.static_cars + aset.fixed_motions + aset.relative_motions:
+        held.setdefault(a.dependent if isinstance(a, RelativeMotion) else a.nominal, set()).add(a)
+    dependees = {a.dependee for a in aset.relative_motions}
+    problems = []
+    for name, claims in sorted(held.items()):
+        roles = sorted({_ROLES[type(a)] for a in claims} | ({"dependee"} if name in dependees else set()))
+        if roles == ["dependent"] and len(claims) > 1:
             problems.append(f"nominal {name!r} appears as dependent in more than one relative motion assumption")
-        if "dependee" in distinct and "dependent" in distinct:
-            problems.append(f"nominal {name!r} is both a dependee and dependent")
-        others = [k for k in distinct if k != "dependee"]
-        if len(others) > 1 or kinds.count("static") > 1 or kinds.count("fixed") > 1:
-            pairs = " and ".join(distinct) if len(distinct) > 1 else f"{distinct[0]} (twice)"
+        elif len(roles) > 1 or len(claims) > 1:
+            pairs = " and ".join(roles) if len(roles) > 1 else f"{roles[0]} (twice)"
             problems.append(f"nominal {name!r} is assigned conflicting motion roles: {pairs}")
-        if "dependee" in distinct and others:
-            problems.append(f"nominal {name!r} is a dependee but also {others[0]}")
-
     if problems:
-        raise ValidationError("inconsistent assumption set: " + "; ".join(sorted(set(problems))))
+        raise ValidationError("inconsistent assumption set: " + "; ".join(problems))

@@ -4,7 +4,9 @@ A scenario bundles a grid, declared symbols, a set of assumptions (each
 tagged with the pruning kind the checkers should use for it), the
 specification formulas, and a maximum trace length.  Everything the
 checkers consume is derived from this one structure, and every built-in
-scenario is value-identical to its JSON serialization.
+scenario is value-identical to its JSON serialization.  Validation parses
+the formulas, then leaves names and roles to the checkers' one gate,
+:func:`~hstl.checkers.make_config`.
 
 Classification notes.  The built-in scenarios pin down, per scenario,
 which of their constraint formulas are handed to the pruning machinery
@@ -24,9 +26,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Direction, GridGraph, as_tuple, make_grid
+from .checkers import Algorithm, make_config
+from .core import Direction, GridGraph, make_grid, read_field
 from .errors import ParseError, ValidationError
-from .formula import Formula, parse
+from .formula import Formula, Top, parse
 from .idioms import (
     Assumption,
     AssumptionSet,
@@ -36,7 +39,6 @@ from .idioms import (
     Raw,
     RelativeMotion,
     StaticCar,
-    validate,
 )
 
 KINDS = ("global", "static", "relative", "fixed", "initial", "raw")
@@ -93,27 +95,22 @@ def to_assumption(sa: ScenarioAssumption, props: frozenset[str], noms: frozenset
             raise ValidationError(f"{sa.kind!r} assumption needs a {attr!r} field")
         return value
 
-    def need_nominal(name: str) -> str:
-        if name not in noms:
-            raise ValidationError(f"{sa.kind!r} assumption names undeclared nominal {name!r}")
-        return name
-
     def need_formula() -> Formula:
         return parse(need("formula"), props, noms)
 
     if sa.kind == "global":
-        return GlobalState(need_nominal(need("nominal")), need_formula())
+        return GlobalState(need("nominal"), need_formula())
     if sa.kind == "static":
-        return StaticCar(need_nominal(need("nominal")))
+        return StaticCar(need("nominal"))
     if sa.kind == "relative":
         return RelativeMotion(
-            need_nominal(need("dependee")),
-            need_nominal(need("dependent")),
+            need("dependee"),
+            need("dependent"),
             _parse_path(need("path"), "relative motion path"),
         )
     if sa.kind == "fixed":
         moves = frozenset(_parse_path(m, "fixed motion move") for m in need("moves"))
-        return FixedMotion(need_nominal(need("nominal")), moves)
+        return FixedMotion(need("nominal"), moves)
     if sa.kind == "initial":
         return Initial(need_formula())
     return Raw(need_formula())
@@ -130,20 +127,15 @@ def parse_specification(s: Scenario) -> tuple[Formula, ...]:
 
 
 def validate_scenario(s: Scenario) -> None:
-    """Parse and check everything; raises before any run could misbehave."""
-    if s.max_trace_length < 1:
-        raise ValidationError(f"scenario {s.name!r}: max_trace_length must be >= 1")
-    if set(s.propositions) & set(s.nominals):
-        raise ValidationError(f"scenario {s.name!r}: propositions and nominals overlap")
+    """Parse everything and check names and roles through :func:`make_config`
+    (``parse`` has checked the specification's names; compiling it is
+    ``build_config``'s job, hence ``Top()``); errors name the scenario."""
     try:
         aset = compile_assumption_set(s)
         parse_specification(s)
+        make_config(s.grid, s.propositions, s.nominals, aset, Top(), s.max_trace_length, Algorithm.BASELINE)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"scenario {s.name!r}: {exc}") from exc
-    try:
-        validate(aset, s.nominals)
-    except ValidationError as exc:
-        raise ValidationError(f"scenario {s.name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +170,20 @@ def scenario_to_json_dict(s: Scenario) -> dict:
 
 
 def scenario_from_json_dict(doc: dict) -> Scenario:
-    def need(key: str):
-        if not isinstance(doc, dict) or key not in doc:
-            raise ValidationError(f"scenario document: missing {key!r}")
-        return doc[key]
-
-    grid_doc = need("grid")
-    if not isinstance(grid_doc, dict) or "rows" not in grid_doc or "cols" not in grid_doc:
-        raise ValidationError('scenario document: "grid" must be {"rows": R, "cols": C}')
+    what = "scenario document"
+    grid_doc = read_field(doc, "grid", what, dict)
     assumptions = []
-    for i, entry in enumerate(as_tuple(need("assumptions"), "scenario document: 'assumptions'")):
+    for i, entry in enumerate(read_field(doc, "assumptions", what)):
+        where = f"assumption {i}"
         if not isinstance(entry, dict) or "kind" not in entry:
-            raise ValidationError(f"assumption {i}: each assumption needs a 'kind'")
-        known = {"kind", "nominal", "formula", "dependee", "dependent", "path", "moves"}
-        stray = set(entry) - known
+            raise ValidationError(f"{where}: each assumption needs a 'kind'")
+        stray = set(entry) - {"kind", "nominal", "formula", "dependee", "dependent", "path", "moves"}
         if stray:
-            raise ValidationError(f"assumption {i}: unknown fields {sorted(stray)}")
+            raise ValidationError(f"{where}: unknown fields {sorted(stray)}")
+        path = tuple(read_field(entry, "path", where)) if "path" in entry else None
+        moves = read_field(entry, "moves", where) if "moves" in entry else None
+        if moves is not None:
+            moves = tuple(tuple(read_field(moves, k, f"{where}: 'moves'")) for k in range(len(moves)))
         try:
             assumptions.append(
                 ScenarioAssumption(
@@ -202,24 +192,23 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
                     formula=entry.get("formula"),
                     dependee=entry.get("dependee"),
                     dependent=entry.get("dependent"),
-                    path=as_tuple(entry["path"], "'path'") if "path" in entry else None,
-                    moves=tuple(as_tuple(m, "move") for m in as_tuple(entry["moves"], "'moves'"))
-                    if "moves" in entry else None,
+                    path=path,
+                    moves=moves,
                 )
             )
         except ValidationError as exc:
-            raise ValidationError(f"assumption {i}: {exc}") from exc
+            raise ValidationError(f"{where}: {exc}") from exc
     try:
-        max_len = int(need("max_trace_length"))
+        max_len = int(read_field(doc, "max_trace_length", what, object))
     except (TypeError, ValueError):
         raise ValidationError(f"scenario document: bad max_trace_length {doc['max_trace_length']!r}") from None
     return Scenario(
-        name=str(need("name")),
-        grid=make_grid(grid_doc["rows"], grid_doc["cols"]),
-        propositions=as_tuple(need("propositions"), "scenario document: 'propositions'"),
-        nominals=as_tuple(need("nominals"), "scenario document: 'nominals'"),
+        name=str(read_field(doc, "name", what, object)),
+        grid=make_grid(read_field(grid_doc, "rows", "'grid'", int), read_field(grid_doc, "cols", "'grid'", int)),
+        propositions=tuple(read_field(doc, "propositions", what)),
+        nominals=tuple(read_field(doc, "nominals", what)),
         assumptions=tuple(assumptions),
-        specification=as_tuple(need("specification"), "scenario document: 'specification'"),
+        specification=tuple(read_field(doc, "specification", what)),
         max_trace_length=max_len,
     )
 

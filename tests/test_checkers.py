@@ -408,6 +408,23 @@ class TestMotion:
                 for algorithm in Algorithm:
                     with pytest.raises(ValidationError, match=f"undeclared {kind}"):
                         cfg_of(g, ["h"], ["z"], AssumptionSet([wrap(atom)]), 2, algorithm)
+        # A motion assumption or a viewpoint naming an undeclared vehicle
+        # fails the same symbol check.
+        for a in (
+            StaticCar("y"),
+            FixedMotion("y", frozenset({(F,)})),
+            RelativeMotion("y", "z", (F,)),
+            RelativeMotion("z", "y", (F,)),
+            GlobalState("y", Top()),
+        ):
+            for algorithm in Algorithm:
+                with pytest.raises(ValidationError, match=r"undeclared nominals \['y'\]"):
+                    cfg_of(g, ["h"], ["z"], AssumptionSet([a]), 2, algorithm)
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_name_declared_as_proposition_and_nominal_rejected(self, algorithm):
+        with pytest.raises(ValidationError, match="both proposition and nominal"):
+            make_config(make_grid(2, 1), ["z"], ["z"], AssumptionSet(), Top(), 1, algorithm)
 
 
 class TestSatTraces:

@@ -162,8 +162,7 @@ class TestRender:
 def _trace_doc(edit):
     g = make_grid(2, 1)
     doc = trace_to_json_dict(Trace([State(g, {"h": [Position(2, 1)]}, {"z": Position(1, 1)})]))
-    edit(doc)
-    return doc
+    return edit(doc) or doc  # an edit may return a replacement document
 
 
 def _scenario_doc(edit):
@@ -172,18 +171,27 @@ def _scenario_doc(edit):
     return doc
 
 
+# Each malformed document, and the field its error message must name.
 _MALFORMED_TRACES = {
-    "states_not_objects": lambda d: d.update(states=[5]),
-    "cells_not_a_list": lambda d: d["states"][0]["props"].update(h=5),
+    "states_not_objects": (lambda d: d.update(states=[5]), "state 0"),
+    "cells_not_a_list": (lambda d: d["states"][0]["props"].update(h=5), "'h'"),
+    "propositions_not_a_list": (lambda d: d.update(propositions=5), "'propositions'"),
+    "nominals_a_string": (lambda d: d.update(nominals="z"), "'nominals'"),
+    "document_a_list": (lambda d: [d], "'grid'"),
 }
 _MALFORMED_SCENARIOS = {
-    "assumptions_not_a_list": lambda d: d.update(assumptions=5),
-    "relative_path_not_a_list": lambda d: d.update(
-        assumptions=[{"kind": "relative", "dependee": "z0", "dependent": "z1", "path": 5}]
+    "assumptions_not_a_list": (lambda d: d.update(assumptions=5), "'assumptions'"),
+    "relative_path_not_a_list": (
+        lambda d: d.update(assumptions=[{"kind": "relative", "dependee": "z0", "dependent": "z1", "path": 5}]),
+        "'path'",
     ),
-    "fixed_move_not_a_list": lambda d: d.update(assumptions=[{"kind": "fixed", "nominal": "z1", "moves": [5]}]),
-    "formula_not_a_string": lambda d: d.update(assumptions=[{"kind": "raw", "formula": 5}]),
-    "max_trace_length_not_a_number": lambda d: d.update(max_trace_length="x"),
+    "fixed_move_not_a_list": (
+        lambda d: d.update(assumptions=[{"kind": "fixed", "nominal": "z1", "moves": [5]}]),
+        "'moves'",
+    ),
+    "formula_not_a_string": (lambda d: d.update(assumptions=[{"kind": "raw", "formula": 5}]), "formula"),
+    "max_trace_length_not_a_number": (lambda d: d.update(max_trace_length="x"), "max_trace_length"),
+    "propositions_a_string": (lambda d: d.update(propositions="h"), "'propositions'"),
 }
 
 
@@ -194,21 +202,23 @@ class TestMalformedInput:
     @pytest.mark.parametrize("name", sorted(_MALFORMED_TRACES))
     def test_trace_file(self, command, name, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        path.write_text(json.dumps(_trace_doc(_MALFORMED_TRACES[name])), encoding="utf-8")
+        edit, field = _MALFORMED_TRACES[name]
+        path.write_text(json.dumps(_trace_doc(edit)), encoding="utf-8")
         args = ["--trace", str(path)]
         if command == "eval":
             args += ["--grid", "2x1", "--formula", "h", "--point", "1,1"]
         assert main([command] + args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err and field in err
 
     @pytest.mark.parametrize("name", sorted(_MALFORMED_SCENARIOS))
     def test_scenario_file(self, name, tmp_path, capsys):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(_scenario_doc(_MALFORMED_SCENARIOS[name])), encoding="utf-8")
+        edit, field = _MALFORMED_SCENARIOS[name]
+        path.write_text(json.dumps(_scenario_doc(edit)), encoding="utf-8")
         assert main(["check", "--scenario", str(path), "--algorithm", "motion"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err and field in err
 
 
 class TestValidities:

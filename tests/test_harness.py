@@ -1,5 +1,8 @@
 """Timed runs, table emission, trace rendering, the law-suite surface."""
 
+import importlib.util
+from pathlib import Path
+
 from conftest import safe_follow_model
 from hstl.checkers import Algorithm
 from hstl.core import Position, State, Trace, make_grid
@@ -168,3 +171,22 @@ class TestValiditySurface:
         # The spatial refutations need a second cell, so no countermodel yet.
         spatial = [s for s in report.non_validities if "spatial" in s.name]
         assert all(s.countermodel is None for s in spatial)
+
+
+class TestBenchmarkProbes:
+    def test_every_probe_resolves(self, monkeypatch):
+        # The benchmark measures each layer by wrapping named functions; a
+        # rename that drops one would silently unmeasure its metric.
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        run_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_module)
+        import tracer
+
+        probes = tracer.Tracer(run_module._probes(), run_module.FRAMES)
+        probes.install()
+        try:
+            assert probes.unmeasured == []
+        finally:
+            probes.uninstall()

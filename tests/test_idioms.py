@@ -114,21 +114,21 @@ class TestValidate:
     def test_conflicting_roles(self):
         aset = AssumptionSet([StaticCar("z0"), FixedMotion("z0", frozenset({(F,)}))])
         with pytest.raises(ValidationError, match="conflicting"):
-            validate(aset, {"z0"})
+            validate(aset)
 
     def test_dependee_and_dependent(self):
         aset = AssumptionSet(
             [RelativeMotion("z0", "z1", (F,)), RelativeMotion("z1", "z2", (F,))]
         )
         with pytest.raises(ValidationError, match="dependee and dependent"):
-            validate(aset, {"z0", "z1", "z2"})
+            validate(aset)
 
     def test_dependent_in_two_assumptions(self):
         aset = AssumptionSet(
             [RelativeMotion("z0", "z1", (F,)), RelativeMotion("z2", "z1", (B,))]
         )
         with pytest.raises(ValidationError, match="more than one relative motion"):
-            validate(aset, {"z0", "z1", "z2"})
+            validate(aset)
 
     def test_empty_set_leaves_everything_free(self):
         g = make_grid(2, 2)
@@ -168,7 +168,7 @@ class TestValidate:
     def test_static_dependee_rejected(self):
         aset = AssumptionSet([StaticCar("z0"), RelativeMotion("z0", "z1", (F,))])
         with pytest.raises(ValidationError):
-            validate(aset, {"z0", "z1"})
+            validate(aset)
 
     @pytest.mark.parametrize(
         "assumptions, accepted",
@@ -212,7 +212,7 @@ class TestValidate:
 
     def test_undeclared_nominal_reported(self):
         with pytest.raises(ValidationError, match="undeclared"):
-            validate(AssumptionSet([StaticCar("ghost")]), {"z0"})
+            make_config(make_grid(2, 1), [], ["z0"], AssumptionSet([StaticCar("ghost")]), Top(), 1, Algorithm.MOTION)
 
     def test_order_independent(self):
         rng = random.Random(13)
