@@ -4,7 +4,7 @@ The package is organized bottom-up:
 
 * :mod:`hstl.core`      — grids, positions, states, traces, trace surgery
 * :mod:`hstl.formula`   — abstract syntax, parser, desugaring, indexing
-* :mod:`hstl.evaluator` — memoized satisfaction checking plus a naive oracle
+* :mod:`hstl.evaluator` — memoized satisfaction checking, formula progression, a naive oracle
 * :mod:`hstl.idioms`    — structured motion assumptions and their lowerings
 * :mod:`hstl.checkers`  — the three trace generators and satisfaction search
 * :mod:`hstl.scenarios` — scenario files and the built-in driving suite

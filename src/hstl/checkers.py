@@ -44,6 +44,10 @@ first.  Motion's first states also vary the assignments outermost; its
 successor steps vary the placements outermost and the assignments
 innermost, depth-first, each prefix yielded before it is extended.
 
+:class:`CheckResult` progresses the specification along the stream
+(:class:`~hstl.evaluator.Progression`), from the longest prefix each
+trace shares with the previous one.
+
 Every configuration passes :func:`make_config`, the one check of its
 names and motion roles.  Generators are lazy single-consumer streams;
 distinct runs may execute on parallel workers, and all shared inputs are
@@ -59,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
-from .evaluator import EncodedState, _check_symbols, compile_formula
+from .evaluator import EncodedState, Progression, _check_symbols, compile_formula
 from .formula import Formula, desugar, is_core
 from .idioms import Assumption, AssumptionSet, lower, validate
 
@@ -334,9 +338,12 @@ def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tupl
                     yield from extend(k + 1, enc, trace)
                     trace.pop()
 
-    for init in ctx.iter_states(stop):
-        if ctx.passes_initial(init):
-            yield from extend(1, init, [init])
+    try:
+        for init in ctx.iter_states(stop):
+            if ctx.passes_initial(init):
+                yield from extend(1, init, [init])
+    finally:
+        del extend  # it refers to itself, and so to ``ctx``, through its closure
 
 
 def _iter_encoded(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
@@ -392,11 +399,13 @@ def unenforced_assumptions(aset: AssumptionSet, algorithm: Algorithm) -> tuple[A
 class CheckResult:
     """Lazy stream of (trace, satisfying start cells) with live counters.
 
-    ``traces_generated`` counts every candidate the generator yielded
-    (prefixes included); ``traces_satisfying`` counts emissions.  Both
-    are valid snapshots at any point during consumption and final once
-    the stream is exhausted.  ``interrupted`` is set when a stop check
-    cut the run short.
+    Each trace is progressed from the prefix it shares with the previous
+    one (one state under motion), with steps memoized for the life of the
+    result.  ``traces_generated`` counts every candidate the generator
+    yielded (prefixes included); ``traces_satisfying`` counts emissions.
+    Both are valid snapshots at any point during consumption and final
+    once the stream is exhausted.  ``interrupted`` is set when a stop
+    check cut the run short.
     """
 
     def __init__(self, cfg: CheckerConfig, stop: StopCheck = None):
@@ -424,18 +433,26 @@ class CheckResult:
                     return True
                 return False
 
-        compiled = ctx.spec_compiled
+        progression = Progression(ctx.spec_compiled)
+        stack = [progression.initial]  # per prefix length of the previous trace, the vector after it
+        previous: tuple[EncodedState, ...] = ()
         for enc_trace in _iter_encoded(ctx, stop):
             if stop is not None and stop():
                 return
             self.traces_generated += 1
-            sat = compiled.sat_point_indices(list(enc_trace))
-            if sat:
+            shared = 0
+            for before, state in zip(previous, enc_trace):
+                if before != state:
+                    break
+                shared += 1
+            del stack[shared + 1 :]
+            for state in enc_trace[shared:]:
+                stack.append(progression.step(stack[-1], state))
+            previous = enc_trace
+            points = progression.accepted[stack[-1]]
+            if points:
                 self.traces_satisfying += 1
-                yield (
-                    ctx.decode_trace(enc_trace),
-                    frozenset(ctx.grid.position_at(i) for i in sat),
-                )
+                yield ctx.decode_trace(enc_trace), points
 
 
 def sat_traces(cfg: CheckerConfig, stop: StopCheck = None) -> CheckResult:

@@ -340,9 +340,15 @@ def read_field(doc, key, what: str, kind: type | tuple[type, ...] = (list, tuple
     except (KeyError, IndexError, TypeError):
         raise ValidationError(f"{what}: missing {key!r}") from None
     if not isinstance(value, kind):
-        expected = {dict: "an object", int: "an integer"}.get(kind, "a list")
+        expected = {dict: "an object", int: "an integer", str: "a string"}.get(kind, "a list")
         raise ValidationError(f"{what}: {key!r} must be {expected}, got {value!r}")
     return value
+
+
+def read_strings(doc, key, what: str) -> tuple[str, ...]:
+    """``doc[key]`` read by :func:`read_field` as a list of strings."""
+    items = read_field(doc, key, what)
+    return tuple(read_field(items, i, f"{what}: {key!r}", str) for i in range(len(items)))
 
 
 def trace_from_json_dict(doc: Mapping) -> Trace:
@@ -350,8 +356,8 @@ def trace_from_json_dict(doc: Mapping) -> Trace:
     what = "malformed trace document"
     grid_doc = read_field(doc, "grid", what, dict)
     g = make_grid(read_field(grid_doc, "rows", "'grid'", int), read_field(grid_doc, "cols", "'grid'", int))
-    props = list(read_field(doc, "propositions", what))
-    noms = list(read_field(doc, "nominals", what))
+    props = read_strings(doc, "propositions", what)
+    noms = read_strings(doc, "nominals", what)
     state_docs = read_field(doc, "states", what)
     if len(set(props)) != len(props) or len(set(noms)) != len(noms):
         raise ValidationError("duplicate names in propositions/nominals")

@@ -1,30 +1,30 @@
 """Satisfaction checking on finite traces.
 
-Two routes are provided on purpose and kept independent:
+Three routes are provided on purpose and kept independent:
 
-* :func:`evaluate` — the production path.  Formulas are compiled to flat
+* :func:`evaluate` — the per-call path.  Formulas are compiled to flat
   integer arrays, traces to bitmask/tuple form, and results are memoized
-  on ``(timestep, occurrence id, viewpoint cell)``.  Distinct
-  occurrences of identical subformulas use distinct memo keys.  The
-  viewpoint cell must be part of the key: the target of an ``@`` jump is
-  read at the current timestep, so a node below an ``@`` inside an
-  until can be reached at one (timestep, occurrence) pair with several
-  viewpoints.  A binder ``↓v`` writes the current cell into ``v``'s
-  capture slot, which the recursion carries to every node below it (a
-  freeze quantifier writing a register); nominal reads and ``@`` jumps
-  prefer a captured cell to the state's.  The memo key does not include
-  the captures, so once an ``@`` jump follows a binder a node can be
-  reached at one key with different captures and reuse a wrong answer
-  (ROADMAP.md, item 1a).
+  on ``(timestep, occurrence id, viewpoint cell)``: the target of an
+  ``@`` jump is read at the current timestep, so a node below an ``@``
+  inside an until can be reached at one (timestep, occurrence) with
+  several viewpoints.  A binder ``↓v`` writes the current cell into
+  ``v``'s capture slot, which the recursion carries below it (a freeze
+  quantifier writing a register); nominal reads and ``@`` jumps prefer
+  a captured cell to the state's.  A node that reads a captured slot is
+  keyed instead on the timestep, the node, the cell if it reads it and
+  the captures it reads (:meth:`CompiledFormula.tables`).
+* :class:`Progression` — the same semantics stepped one state at a time
+  (formula progression, Bacchus & Kabanza 2000, on finite traces as in
+  De Giacomo & Vardi 2013), for streams of traces that share prefixes.
 * :func:`evaluate_naive` — a direct recursive transcription of the
   semantics built on the trace-surgery operations of :mod:`hstl.core`.
   No memo, no compilation; it exists as an oracle.
 
 Moving off the grid makes a spatial modality false rather than raising.
-A memo table is private to one evaluation call; concurrent evaluations
-on shared immutable inputs are independent.  :func:`sat_points` runs all
-start positions against one shared table, with the same caveat on
-captures.
+A memo table is private to one evaluation call, and a progression to its
+owner; concurrent evaluations on shared immutable inputs are
+independent.  :func:`sat_points` runs all start positions against one
+shared table.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .formula import (
 _TOP, _PROP, _NOM, _NOT, _AND, _NEXT, _UNTIL, _SPATIAL, _AT, _BIND = range(10)
 
 _DIR_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
+_LEAF = 1 << 62  # the variable of a BDD terminal, after every obligation
 
 #: Encoded state: (per-proposition position bitmasks, per-nominal cell indices).
 EncodedState = tuple[tuple[int, ...], tuple[int, ...]]
@@ -106,15 +107,15 @@ class CompiledFormula:
     binder writes before anything reads it, so callers encode states
     over ``noms`` only.
 
-    The memo can hold at most trace-length * node-count * cell-count
-    entries.  Unless a temporal operator sits below an ``@`` whose
-    target moves between steps, each occurrence is only ever visited at
-    one viewpoint per step, so at most trace-length * node-count entries
-    are actually written.
+    The flat memo holds at most trace-length * node-count * cell-count
+    entries, and a node that reads a captured slot adds one per capture.
+    Unless a temporal operator sits below an ``@`` whose target moves, or
+    below a binder, each occurrence is visited at one viewpoint per
+    step, so at most trace-length * node-count entries are written.
     """
 
     __slots__ = (
-        "grid", "free_env", "prop_slots", "nom_slots", "n_nodes", "kinds", "args", "args2", "aux", "nbr"
+        "grid", "free_env", "prop_slots", "nom_slots", "n_nodes", "kinds", "args", "args2", "aux", "nbr", "_tables"
     )
 
     def __init__(self, f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]):
@@ -157,8 +158,40 @@ class CompiledFormula:
         self.args2 = tuple(args2)
         self.aux = tuple(aux)
         self.nbr = neighbor_tables(g)
+        self._tables = None
 
-    def _run(self, states: list[EncodedState], memo: list[bool | None], use):
+    def tables(self) -> tuple[tuple[bool, ...], tuple[tuple[int, ...] | None, ...]]:
+        """Per node, built on first use: whether its truth value reads the
+        viewpoint cell, and the capture slots (those an enclosing binder
+        writes) that it reads freely, or None when there are none."""
+        if self._tables is None:
+            kinds, args, args2, aux, n = self.kinds, self.args, self.args2, self.aux, self.n_nodes
+            kids = [
+                (args[i], args2[i]) if k in (_AND, _UNTIL) else (args[i],) * (k >= _NOT) for i, k in enumerate(kinds)
+            ]
+            reads, free = [False] * n, [0] * n  # free: bitmask of the slots read freely below
+            for node in reversed(range(n)):  # preorder ids: children after parents
+                kind, bit, below = kinds[node], 1 << aux[node], 0
+                for k in kids[node]:
+                    below |= free[k]
+                if kind == _AT:  # the viewpoint becomes the target's cell
+                    free[node] = below | bit
+                elif kind == _BIND:
+                    free[node] = below & ~bit
+                    reads[node] = below & bit > 0 or any(reads[k] for k in kids[node])
+                else:
+                    free[node] = below | bit if kind == _NOM else below
+                    reads[node] = kind in (_PROP, _NOM, _SPATIAL) or any(reads[k] for k in kids[node])
+            bound, captured = [0] * n, [None] * n  # bound: the slots an enclosing binder writes
+            for node in range(n):
+                for k in kids[node]:
+                    bound[k] = bound[node] | (1 << aux[node] if kinds[node] == _BIND else 0)
+                if mask := free[node] & bound[node]:
+                    captured[node] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+            self._tables = (tuple(reads), tuple(captured))
+        return self._tables
+
+    def _run(self, states: list[EncodedState], memo: tuple[list[bool | None], dict], use):
         """``use(holds)``, where ``holds(p)`` runs the memoized recursion
         ``ev(node, k, p, env)`` from cell ``p``; every start shares the memo.
         ``env`` holds per nominal slot the cell its innermost enclosing binder
@@ -167,11 +200,20 @@ class CompiledFormula:
         n_nodes = self.n_nodes
         n_pos = self.grid.position_count
         kinds, args, args2, aux, nbr = self.kinds, self.args, self.args2, self.aux, self.nbr
+        reads, captured = self.tables() if _BIND in kinds else (None, (None,) * n_nodes)
         last = len(states) - 1
+        memo, side = memo  # flat entries; those of the nodes that read a captured slot
 
         def ev(node: int, k: int, p: int, env: tuple[int | None, ...]) -> bool:
-            key = (k * n_nodes + node) * n_pos + p
-            hit = memo[key]
+            slots = captured[node]
+            if slots is None:
+                key = (k * n_nodes + node) * n_pos + p
+                hit = memo[key]
+            else:  # the captures are cells, so mixed radix n_pos is one-to-one
+                key = (k * n_nodes + node) * n_pos + (p if reads[node] else 0)
+                for i in slots:
+                    key = key * n_pos + env[i]
+                hit = side.get(key)
             if hit is not None:
                 return hit
             kind = kinds[node]
@@ -204,7 +246,10 @@ class CompiledFormula:
             else:  # _BIND
                 ni = aux[node]
                 res = ev(args[node], k, p, env[:ni] + (p,) + env[ni + 1 :])
-            memo[key] = res
+            if slots is None:
+                memo[key] = res
+            else:
+                side[key] = res
             return res
 
         free = self.free_env
@@ -213,14 +258,14 @@ class CompiledFormula:
         finally:
             del ev
 
-    def _fresh_memo(self, states: list[EncodedState]) -> list[bool | None]:
-        return [None] * (len(states) * self.n_nodes * self.grid.position_count)
+    def _fresh_memo(self, states: list[EncodedState]) -> tuple[list[bool | None], dict]:
+        return [None] * (len(states) * self.n_nodes * self.grid.position_count), {}
 
     def evaluate(self, states: list[EncodedState], p: int, stats: EvalStats | None = None) -> bool:
         memo = self._fresh_memo(states)
         result = self._run(states, memo, lambda holds: holds(p))
         if stats is not None:
-            stats.memo_entries = sum(1 for v in memo if v is not None)
+            stats.memo_entries = sum(1 for v in memo[0] if v is not None) + len(memo[1])
             stats.node_count = self.n_nodes
             stats.trace_length = len(states)
         return result
@@ -245,6 +290,146 @@ def compile_formula(
     """Compile (cached) over the declared names; raises on undeclared free
     symbols.  Binder-only nominals need no declaration."""
     return CompiledFormula(f, g, props, noms)
+
+
+class Progression:
+    """One compiled formula progressed along a stream of encoded traces.
+
+    An obligation (node, cell, captures) asks that ``node`` hold at the
+    next state read, with the cell only if the node reads it and the
+    captures of the slots it reads (:meth:`CompiledFormula.tables`).  A
+    residual is a reduced ordered BDD over obligations (nodes 0 and 1 are
+    false and true).  Expanding an obligation at a state leaves a
+    residual over the next state's obligations; ending the trace makes
+    them all false, so a strong ``X`` is false at the last state.  A
+    vector, interned to an id, holds one residual per start cell;
+    ``accepted[id]`` are the cells satisfied if the trace ends there.
+    :meth:`step` is memoized on (vector, state) for the object's life.
+    """
+
+    def __init__(self, compiled: CompiledFormula):
+        self.compiled = compiled
+        self.reads, captured = compiled.tables()
+        self.slots = tuple(s or () for s in captured)
+        self.var, self.lo, self.hi, self.accepts = [_LEAF, _LEAF], [0, 1], [0, 1], [False, True]
+        self.nodes, self.ite_memo = {}, {}  # (variable, low, high) -> node; (f, g, h) -> ite
+        self.obligations, self.obligation_ids = [], {}  # (node, cell, captures) and their ids
+        self.vectors, self.vector_ids = [], {}  # one residual per start cell, and their ids
+        self.accepted: list[frozenset[Position]] = []
+        self.steps: list[dict[EncodedState, int]] = []  # per vector: state -> next vector
+        free = compiled.free_env
+        self.initial = self._vector(tuple(self._obligation(0, p, free) for p in range(compiled.grid.position_count)))
+
+    def step(self, vector: int, state: EncodedState) -> int:
+        """The vector after reading ``state``."""
+        table = self.steps[vector]
+        hit = table.get(state)
+        if hit is None:
+            hit = table[state] = self._progress(vector, state)
+        return hit
+
+    def _mk(self, v: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        u = self.nodes.setdefault((v, lo, hi), len(self.var))
+        if u == len(self.var):
+            self.var.append(v)
+            self.lo.append(lo)
+            self.hi.append(hi)
+            self.accepts.append(self.accepts[lo])
+        return u
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        """If ``f`` then ``g`` else ``h``, which covers not, and, or."""
+        if f < 2 or g == h:
+            return g if f == 1 or g == h else h
+        if g == 1 and h == 0:
+            return f
+        u = self.ite_memo.get((f, g, h))
+        if u is None:
+            var, lo, hi = self.var, self.lo, self.hi
+            v = min(var[f], var[g], var[h])
+            f0, f1 = (lo[f], hi[f]) if var[f] == v else (f, f)
+            g0, g1 = (lo[g], hi[g]) if var[g] == v else (g, g)
+            h0, h1 = (lo[h], hi[h]) if var[h] == v else (h, h)
+            u = self.ite_memo[(f, g, h)] = self._mk(v, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
+        return u
+
+    def _obligation(self, node: int, p: int, env: tuple[int | None, ...]) -> int:
+        """The residual of the one canonical obligation."""
+        key = (node, p if self.reads[node] else -1, tuple([env[i] for i in self.slots[node]]))
+        return self._mk(_intern(self.obligation_ids, self.obligations, key), 0, 1)
+
+    def _vector(self, residuals: tuple[int, ...]) -> int:
+        i = _intern(self.vector_ids, self.vectors, residuals)
+        if i == len(self.steps):
+            self.steps.append({})
+            position_at = self.compiled.grid.position_at
+            self.accepted.append(frozenset(position_at(p) for p, u in enumerate(residuals) if self.accepts[u]))
+        return i
+
+    def _progress(self, vector: int, state: EncodedState) -> int:
+        c = self.compiled
+        kinds, args, args2, aux, nbr = c.kinds, c.args, c.args2, c.aux, c.nbr
+        ite, obligation, var, slots = self._ite, self._obligation, self.var, self.slots
+        masks, cells = state
+
+        def expand(node: int, p: int, env: tuple[int | None, ...]) -> int:
+            kind = kinds[node]
+            if kind == _TOP:
+                return 1
+            if kind == _PROP:
+                return masks[aux[node]] >> p & 1
+            if kind == _NOM:
+                cell = env[aux[node]]
+                return int((cells[aux[node]] if cell is None else cell) == p)
+            if kind == _NOT:
+                return ite(expand(args[node], p, env), 0, 1)
+            if kind == _AND:
+                return ite(expand(args[node], p, env), expand(args2[node], p, env), 0)
+            if kind == _NEXT:
+                return obligation(args[node], p, env)
+            if kind == _UNTIL:  # ψ ∨ (φ ∧ X(φ U ψ))
+                return ite(expand(args2[node], p, env), 1, ite(expand(args[node], p, env), obligation(node, p, env), 0))
+            if kind == _SPATIAL:
+                q = nbr[aux[node]][p]
+                return expand(args[node], q, env) if q >= 0 else 0
+            if kind == _AT:
+                cell = env[aux[node]]
+                return expand(args[node], cells[aux[node]] if cell is None else cell, env)
+            ni = aux[node]  # _BIND
+            return expand(args[node], p, env[:ni] + (p,) + env[ni + 1 :])
+
+        expansions: dict[int, int] = {}  # obligation -> its expansion at this state
+        progressed: dict[int, int] = {}  # residual node -> its progression
+
+        def progress(u: int) -> int:
+            if u < 2:
+                return u
+            r = progressed.get(u)
+            if r is None:
+                now = expansions.get(var[u])
+                if now is None:
+                    node, p, captures = self.obligations[var[u]]
+                    env = list(c.free_env)
+                    for i, cell in zip(slots[node], captures):
+                        env[i] = cell
+                    now = expansions[var[u]] = expand(node, p, tuple(env))
+                r = progressed[u] = ite(now, progress(self.hi[u]), progress(self.lo[u]))
+            return r
+
+        try:
+            return self._vector(tuple(map(progress, self.vectors[vector])))
+        finally:
+            del expand, progress  # each refers to itself through its closure
+
+
+def _intern(ids: dict, items: list, key) -> int:
+    """The index of ``key`` in ``items``, appended when new."""
+    i = ids.setdefault(key, len(items))
+    if i == len(items):
+        items.append(key)
+    return i
 
 
 def encode_state(s: State, g: GridGraph, prop_order: tuple[str, ...]) -> EncodedState:

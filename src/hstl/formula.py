@@ -30,6 +30,8 @@ reserved for internally generated nominals.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 
 from .core import Direction, GridGraph
@@ -40,65 +42,94 @@ from .errors import ParseError, ValidationError
 # ---------------------------------------------------------------------------
 
 
-class Formula:
-    """Base class for all formula nodes. Nodes are immutable values."""
+#: (node class, fields) -> a weak reference to the node built from them.
+_NODES: dict[tuple, weakref.ref] = {}
+_LOCK = threading.Lock()
 
-    __slots__ = ()
+
+class Formula:
+    """Base class for all formula nodes. Nodes are immutable values.
+
+    Nodes are hash-consed: while a node lives, building one of the same
+    class from the same fields returns it, so equal formulas are one
+    object, compared and hashed by identity in O(1) at any depth."""
+
+    __slots__ = ("__weakref__",)
+    _sweep_at = 1024  # the table size at which the entries of dead nodes are next dropped
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            with _LOCK:  # one live node per key, whichever thread builds it
+                ref = _NODES.get(key)
+                node = None if ref is None else ref()
+                if node is None:
+                    node = object.__new__(cls)
+                    for name, value in zip(cls.__slots__, args, strict=True):
+                        object.__setattr__(node, name, value)
+                    _NODES[key] = weakref.ref(node)
+                    if len(_NODES) >= Formula._sweep_at:
+                        for dead in [k for k, r in _NODES.items() if r() is None]:
+                            del _NODES[dead]
+                        Formula._sweep_at = max(1024, 2 * len(_NODES))
+        return node
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Top(Formula):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Nom(Formula):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Spatial(Formula):
     direction: Direction
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class At(Formula):
     nominal: str
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Bind(Formula):
     nominal: str
     child: Formula
@@ -107,40 +138,40 @@ class Bind(Formula):
 # Sugared constructors, eliminated by desugar().
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Eventually(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Globally(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class WeakNext(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class SomeDir(Formula):
     """Some extant cell within ``bound`` steps in ``direction`` satisfies the child."""
 
@@ -149,7 +180,7 @@ class SomeDir(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class AllDir(Formula):
     """Every extant cell within ``bound`` steps in ``direction`` satisfies the child."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .checkers import Algorithm, make_config
-from .core import Direction, GridGraph, make_grid, read_field
+from .core import Direction, GridGraph, make_grid, read_field, read_strings
 from .errors import ParseError, ValidationError
 from .formula import Formula, Top, parse
 from .idioms import (
@@ -180,6 +180,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
         stray = set(entry) - {"kind", "nominal", "formula", "dependee", "dependent", "path", "moves"}
         if stray:
             raise ValidationError(f"{where}: unknown fields {sorted(stray)}")
+        names = {k: read_field(entry, k, where, str) for k in ("nominal", "dependee", "dependent") if k in entry}
         path = tuple(read_field(entry, "path", where)) if "path" in entry else None
         moves = read_field(entry, "moves", where) if "moves" in entry else None
         if moves is not None:
@@ -188,12 +189,10 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
             assumptions.append(
                 ScenarioAssumption(
                     kind=entry["kind"],
-                    nominal=entry.get("nominal"),
                     formula=entry.get("formula"),
-                    dependee=entry.get("dependee"),
-                    dependent=entry.get("dependent"),
                     path=path,
                     moves=moves,
+                    **names,
                 )
             )
         except ValidationError as exc:
@@ -205,10 +204,10 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     return Scenario(
         name=str(read_field(doc, "name", what, object)),
         grid=make_grid(read_field(grid_doc, "rows", "'grid'", int), read_field(grid_doc, "cols", "'grid'", int)),
-        propositions=tuple(read_field(doc, "propositions", what)),
-        nominals=tuple(read_field(doc, "nominals", what)),
+        propositions=read_strings(doc, "propositions", what),
+        nominals=read_strings(doc, "nominals", what),
         assumptions=tuple(assumptions),
-        specification=tuple(read_field(doc, "specification", what)),
+        specification=read_strings(doc, "specification", what),
         max_trace_length=max_len,
     )
 

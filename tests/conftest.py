@@ -160,6 +160,25 @@ def random_assumption_set(rng: random.Random, g: GridGraph, props, noms) -> Assu
     return AssumptionSet(assumptions)
 
 
+def random_hybrid_nesting(rng: random.Random, noms, depth: int, scope=()) -> Formula:
+    """A nesting of ↓, @, U and X (and the odd !) over nominal leaves: the
+    shapes in which an ``@`` jump reads a cell that a ``↓`` captured."""
+    atoms = tuple(scope) + tuple(noms)
+    if depth <= 0:
+        return Nom(rng.choice(atoms)) if rng.random() < 0.9 else Top()
+    pick = rng.choice(["bind", "bind", "at", "at", "until", "next", "not"])
+    if pick == "bind":
+        name = rng.choice(BINDER_POOL)
+        return Bind(name, random_hybrid_nesting(rng, noms, depth - 1, scope + (name,)))
+    if pick == "at":
+        return At(rng.choice(atoms), random_hybrid_nesting(rng, noms, depth - 1, scope))
+    if pick == "until":
+        left = random_hybrid_nesting(rng, noms, rng.randint(0, depth - 1), scope)
+        return Until(left, random_hybrid_nesting(rng, noms, depth - 1, scope))
+    child = random_hybrid_nesting(rng, noms, depth - 1, scope)
+    return Next(child) if pick == "next" else Not(child)
+
+
 def random_exactness_instance(rng: random.Random):
     """A random (grid, props, noms, assumptions, max_len) whose baseline
     space is small enough to enumerate outright."""

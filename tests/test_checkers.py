@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     random_core_formula,
     random_exactness_instance,
+    random_hybrid_nesting,
     random_state_local_formula,
 )
 from hstl.checkers import (
@@ -26,7 +27,7 @@ from hstl.checkers import (
 )
 from hstl.core import DIRECTIONS, Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
-from hstl.evaluator import CompiledFormula, compile_formula, evaluate, sat_points
+from hstl.evaluator import CompiledFormula, compile_formula, evaluate, evaluate_naive, sat_points
 from hstl.formula import And, At, Bind, Globally, Nom, Not, Or, Prop, Spatial, Top, desugar, parse
 from hstl.harness import conjoin
 from hstl.idioms import (
@@ -480,6 +481,87 @@ class TestSatTraces:
                 )
             assert emissions[Algorithm.BASELINE] == emissions[Algorithm.OPTIMIZED]
             assert emissions[Algorithm.BASELINE] == emissions[Algorithm.MOTION]
+
+
+GENERATORS = {
+    Algorithm.BASELINE: generate_traces_baseline,
+    Algorithm.OPTIMIZED: generate_traces_optimized,
+    Algorithm.MOTION: generate_traces_motion,
+}
+
+
+def oracle_emissions(cfg):
+    """The configured generator's stream filtered by ``evaluate_naive`` at
+    every cell: what ``sat_traces`` must emit, in order."""
+    out = []
+    for trace in GENERATORS[cfg.algorithm](cfg):
+        points = frozenset(p for p in cfg.grid.positions() if evaluate_naive(cfg.grid, trace, p, cfg.spec))
+        if points:
+            out.append((trace, points))
+    return out
+
+
+class TestProgression:
+    """``sat_traces`` progresses the specification along the stream; the
+    naive oracle, run on every trace from scratch, must agree."""
+
+    CAPTURE_SHAPES = ("↓v @z0 v", "F @z0 ↓v F @z1 v")
+
+    def test_emissions_match_the_oracle_on_random_models(self):
+        rng = random.Random(0x9E0)
+        for i in range(60):
+            g, props, noms, aset, n = random_exactness_instance(rng)
+            if i % 2:
+                spec = random_core_formula(rng, props, noms, rng.randint(4, 10))
+            else:
+                spec = random_hybrid_nesting(rng, noms, rng.randint(2, 5))
+            for algorithm in Algorithm:
+                cfg = cfg_of(g, props, noms, aset, min(n, 2), algorithm, spec=spec)
+                result = sat_traces(cfg)
+                assert list(result) == oracle_emissions(cfg), (g, aset, spec, algorithm)
+                assert result.traces_generated == sum(1 for _ in GENERATORS[algorithm](cfg))
+                assert not result.interrupted
+
+    @pytest.mark.parametrize("text", CAPTURE_SHAPES)
+    def test_capture_shapes_on_every_algorithm(self, text):
+        g = make_grid(2, 1)
+        spec = parse(text, frozenset(), frozenset({"z0", "z1"}))
+        aset = AssumptionSet([StaticCar("z1")])
+        for algorithm in Algorithm:
+            cfg = cfg_of(g, [], ["z0", "z1"], aset, 3, algorithm, spec=spec)
+            emitted = list(sat_traces(cfg))
+            assert emitted and emitted == oracle_emissions(cfg)
+
+    def test_baseline_products_rewind_the_prefix_stack(self):
+        # Length-3 products change their middle and then their first state
+        # between consecutive traces, so the stack pops back one and two
+        # positions as well as one.
+        g = make_grid(2, 1)
+        spec = parse(self.CAPTURE_SHAPES[1], frozenset(), frozenset({"z0", "z1"}))
+        cfg = cfg_of(g, [], ["z0", "z1"], AssumptionSet(), 3, Algorithm.BASELINE, spec=spec)
+        stream = list(generate_traces_baseline(cfg))
+        first_change = {
+            next(i for i in range(3) if a.states[i] != b.states[i])
+            for a, b in zip(stream, stream[1:])
+            if len(a) == len(b) == 3
+        }
+        assert first_change == {0, 1, 2}
+        assert list(sat_traces(cfg)) == oracle_emissions(cfg)
+
+    def test_stop_mid_stream_leaves_partial_counters(self):
+        g = make_grid(2, 1)
+        spec = parse(self.CAPTURE_SHAPES[1], frozenset(), frozenset({"z0", "z1"}))
+        for algorithm in Algorithm:
+            cfg = cfg_of(g, [], ["z0", "z1"], AssumptionSet(), 3, algorithm, spec=spec)
+            full = oracle_emissions(cfg)
+            total = sum(1 for _ in GENERATORS[algorithm](cfg))
+            calls = itertools.count()
+            result = sat_traces(cfg, stop=lambda: next(calls) >= 40)
+            emitted = list(result)
+            assert result.interrupted
+            assert 0 < result.traces_generated < total
+            assert 0 < result.traces_satisfying == len(emitted) < len(full)
+            assert emitted == full[: len(emitted)]
 
 
 class TestUnenforcedAssumptions:

@@ -178,6 +178,7 @@ _MALFORMED_TRACES = {
     "propositions_not_a_list": (lambda d: d.update(propositions=5), "'propositions'"),
     "nominals_a_string": (lambda d: d.update(nominals="z"), "'nominals'"),
     "document_a_list": (lambda d: [d], "'grid'"),
+    "proposition_not_a_string": (lambda d: d.update(propositions=[["h"]]), "'propositions'"),
 }
 _MALFORMED_SCENARIOS = {
     "assumptions_not_a_list": (lambda d: d.update(assumptions=5), "'assumptions'"),
@@ -192,6 +193,11 @@ _MALFORMED_SCENARIOS = {
     "formula_not_a_string": (lambda d: d.update(assumptions=[{"kind": "raw", "formula": 5}]), "formula"),
     "max_trace_length_not_a_number": (lambda d: d.update(max_trace_length="x"), "max_trace_length"),
     "propositions_a_string": (lambda d: d.update(propositions="h"), "'propositions'"),
+    "nominal_not_a_string": (
+        lambda d: d.update(assumptions=[{"kind": "fixed", "nominal": [1], "moves": [[]]}]),
+        "'nominal'",
+    ),
+    "specification_not_strings": (lambda d: d.update(specification=[5]), "'specification'"),
 }
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import random_core_formula, random_trace, safe_follow_model
+from conftest import random_core_formula, random_hybrid_nesting, random_trace, safe_follow_model
 from hstl.core import Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
 from hstl.evaluator import CompiledFormula, EvalStats, evaluate, evaluate_naive, sat_points
@@ -139,6 +139,45 @@ class TestDifferential:
             t = random_trace(rng, g, ["q"], [], 3)
             for p in g.positions():
                 assert evaluate_naive(g, t, p, f)
+
+
+class TestCaptureKey:
+    """A node below a binder is memoized with the captures it reads, so an
+    ``@`` jump after a ``↓`` never reuses another capture's answer."""
+
+    def test_jump_after_bind_reads_the_capture(self):
+        # Every start shares one memo: the cell captured at (2,1) must not
+        # reuse the answer computed for the capture at (1,1).
+        g = make_grid(2, 1)
+        t = Trace([State(g, {}, {"z": Position(1, 1)})])
+        f = prepared("↓v @z v", [], ["z"], g)
+        assert sat_points(g, t, f) == frozenset({Position(1, 1)})
+        for p in g.positions():
+            assert evaluate(g, t, p, f) == evaluate_naive(g, t, p, f) == (p == Position(1, 1))
+
+    def test_capture_read_at_a_later_step(self):
+        # The binder runs at both steps, capturing (1,1) then (2,1); the
+        # inner jump to w reads each capture at the second step.
+        g = make_grid(2, 1)
+        cells = [(Position(1, 1), Position(2, 1)), (Position(2, 1), Position(2, 1))]
+        t = Trace([State(g, {}, {"z": z, "w": w}) for z, w in cells])
+        f = prepared("F @z ↓v F @w v", [], ["z", "w"], g)
+        for p in g.positions():
+            assert evaluate_naive(g, t, p, f)
+            assert evaluate(g, t, p, f)
+        assert sat_points(g, t, f) == frozenset(g.positions())
+
+    def test_hybrid_nestings_agree_with_the_oracle(self):
+        rng = random.Random(0x1A)
+        mismatches = 0
+        for _ in range(400):
+            g = make_grid(*rng.choice([(2, 1), (1, 2), (2, 2), (3, 1)]))
+            t = random_trace(rng, g, [], ["z", "w"], 3)
+            f = random_hybrid_nesting(rng, ["z", "w"], rng.randint(2, 6))
+            naive = frozenset(p for p in g.positions() if evaluate_naive(g, t, p, f))
+            pointwise = frozenset(p for p in g.positions() if evaluate(g, t, p, f))
+            mismatches += naive != pointwise or naive != sat_points(g, t, f)
+        assert mismatches == 0
 
 
 class TestSatPoints:
