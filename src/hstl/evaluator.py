@@ -30,6 +30,7 @@ shared table.
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -115,7 +116,7 @@ class CompiledFormula:
     """
 
     __slots__ = (
-        "grid", "free_env", "prop_slots", "nom_slots", "n_nodes", "kinds", "args", "args2", "aux", "nbr", "_tables"
+        "grid", "free_env", "prop_slots", "nom_slots", "n_nodes", "kinds", "args", "args2", "aux", "nbr", "_tables", "_pick"
     )
 
     def __init__(self, f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]):
@@ -159,11 +160,13 @@ class CompiledFormula:
         self.aux = tuple(aux)
         self.nbr = neighbor_tables(g)
         self._tables = None
+        self._pick = None if _BIND in kinds else (None,) * n  # no binder, no captures to key on
 
     def tables(self) -> tuple[tuple[bool, ...], tuple[tuple[int, ...] | None, ...]]:
         """Per node, built on first use: whether its truth value reads the
         viewpoint cell, and the capture slots (those an enclosing binder
-        writes) that it reads freely, or None when there are none."""
+        writes) that it reads freely, or None when there are none.  Also
+        sets ``_pick``: per node, an ``itemgetter`` of those slots, or None."""
         if self._tables is None:
             kinds, args, args2, aux, n = self.kinds, self.args, self.args2, self.aux, self.n_nodes
             kids = [
@@ -189,6 +192,7 @@ class CompiledFormula:
                 if mask := free[node] & bound[node]:
                     captured[node] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
             self._tables = (tuple(reads), tuple(captured))
+            self._pick = tuple(None if slots is None else itemgetter(*slots) for slots in captured)
         return self._tables
 
     def _run(self, states: list[EncodedState], memo: tuple[list[bool | None], dict], use):
@@ -200,19 +204,19 @@ class CompiledFormula:
         n_nodes = self.n_nodes
         n_pos = self.grid.position_count
         kinds, args, args2, aux, nbr = self.kinds, self.args, self.args2, self.aux, self.nbr
-        reads, captured = self.tables() if _BIND in kinds else (None, (None,) * n_nodes)
+        if self._pick is None:  # a binder: build the tables, which set the keys
+            self.tables()
+        pick, reads = self._pick, self._tables and self._tables[0]
         last = len(states) - 1
         memo, side = memo  # flat entries; those of the nodes that read a captured slot
 
         def ev(node: int, k: int, p: int, env: tuple[int | None, ...]) -> bool:
-            slots = captured[node]
-            if slots is None:
+            captures = pick[node]
+            if captures is None:
                 key = (k * n_nodes + node) * n_pos + p
                 hit = memo[key]
-            else:  # the captures are cells, so mixed radix n_pos is one-to-one
-                key = (k * n_nodes + node) * n_pos + (p if reads[node] else 0)
-                for i in slots:
-                    key = key * n_pos + env[i]
+            else:  # within one node the captures are all a cell or all a tuple
+                key = ((k * n_nodes + node) * n_pos + (p if reads[node] else 0), captures(env))
                 hit = side.get(key)
             if hit is not None:
                 return hit
@@ -246,7 +250,7 @@ class CompiledFormula:
             else:  # _BIND
                 ni = aux[node]
                 res = ev(args[node], k, p, env[:ni] + (p,) + env[ni + 1 :])
-            if slots is None:
+            if captures is None:
                 memo[key] = res
             else:
                 side[key] = res

@@ -30,8 +30,7 @@ reserved for internally generated nominals.
 from __future__ import annotations
 
 import re
-import threading
-import weakref
+import sys
 from dataclasses import dataclass
 
 from .core import Direction, GridGraph
@@ -42,94 +41,65 @@ from .errors import ParseError, ValidationError
 # ---------------------------------------------------------------------------
 
 
-#: (node class, fields) -> a weak reference to the node built from them.
-_NODES: dict[tuple, weakref.ref] = {}
-_LOCK = threading.Lock()
-
-
 class Formula:
-    """Base class for all formula nodes. Nodes are immutable values.
+    """Base class for all formula nodes. Nodes are immutable slotted values."""
 
-    Nodes are hash-consed: while a node lives, building one of the same
-    class from the same fields returns it, so equal formulas are one
-    object, compared and hashed by identity in O(1) at any depth."""
-
-    __slots__ = ("__weakref__",)
-    _sweep_at = 1024  # the table size at which the entries of dead nodes are next dropped
-
-    def __new__(cls, *args):
-        key = (cls, *args)
-        ref = _NODES.get(key)
-        node = None if ref is None else ref()
-        if node is None:
-            with _LOCK:  # one live node per key, whichever thread builds it
-                ref = _NODES.get(key)
-                node = None if ref is None else ref()
-                if node is None:
-                    node = object.__new__(cls)
-                    for name, value in zip(cls.__slots__, args, strict=True):
-                        object.__setattr__(node, name, value)
-                    _NODES[key] = weakref.ref(node)
-                    if len(_NODES) >= Formula._sweep_at:
-                        for dead in [k for k, r in _NODES.items() if r() is None]:
-                            del _NODES[dead]
-                        Formula._sweep_at = max(1024, 2 * len(_NODES))
-        return node
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Nom(Formula):
     name: str
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Spatial(Formula):
     direction: Direction
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class At(Formula):
     nominal: str
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Bind(Formula):
     nominal: str
     child: Formula
@@ -138,40 +108,40 @@ class Bind(Formula):
 # Sugared constructors, eliminated by desugar().
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Eventually(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class Globally(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class WeakNext(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class SomeDir(Formula):
     """Some extant cell within ``bound`` steps in ``direction`` satisfies the child."""
 
@@ -180,7 +150,7 @@ class SomeDir(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class AllDir(Formula):
     """Every extant cell within ``bound`` steps in ``direction`` satisfies the child."""
 
@@ -468,8 +438,8 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(("down", word, i))
             elif word in _KEYWORDS:
                 tokens.append((word, word, i))
-            else:
-                tokens.append(("name", word, i))
+            else:  # one string object per name, however many nodes carry it
+                tokens.append(("name", sys.intern(word), i))
             i = m.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", i)

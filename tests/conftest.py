@@ -160,22 +160,28 @@ def random_assumption_set(rng: random.Random, g: GridGraph, props, noms) -> Assu
     return AssumptionSet(assumptions)
 
 
-def random_hybrid_nesting(rng: random.Random, noms, depth: int, scope=()) -> Formula:
-    """A nesting of ↓, @, U and X (and the odd !) over nominal leaves: the
-    shapes in which an ``@`` jump reads a cell that a ``↓`` captured."""
+def random_hybrid_nesting(rng: random.Random, props, noms, depth: int, scope=()) -> Formula:
+    """A nesting of ↓, @, U, X, ∧, spatial steps and the odd ! over
+    proposition and nominal leaves: the shapes in which an ``@`` jump reads
+    a cell that a ``↓`` captured, next to nodes that read the viewpoint."""
     atoms = tuple(scope) + tuple(noms)
     if depth <= 0:
-        return Nom(rng.choice(atoms)) if rng.random() < 0.9 else Top()
-    pick = rng.choice(["bind", "bind", "at", "at", "until", "next", "not"])
-    if pick == "bind":
+        pick = rng.random()
+        if atoms and pick < 0.6:
+            return Nom(rng.choice(atoms))
+        return Prop(rng.choice(props)) if props and pick < 0.9 else Top()
+    pick = rng.choice(["bind", "bind", "at", "at", "until", "and", "next", "spatial", "not"])
+    if pick == "bind" or pick == "at" and not atoms:
         name = rng.choice(BINDER_POOL)
-        return Bind(name, random_hybrid_nesting(rng, noms, depth - 1, scope + (name,)))
+        return Bind(name, random_hybrid_nesting(rng, props, noms, depth - 1, scope + (name,)))
     if pick == "at":
-        return At(rng.choice(atoms), random_hybrid_nesting(rng, noms, depth - 1, scope))
-    if pick == "until":
-        left = random_hybrid_nesting(rng, noms, rng.randint(0, depth - 1), scope)
-        return Until(left, random_hybrid_nesting(rng, noms, depth - 1, scope))
-    child = random_hybrid_nesting(rng, noms, depth - 1, scope)
+        return At(rng.choice(atoms), random_hybrid_nesting(rng, props, noms, depth - 1, scope))
+    if pick in ("until", "and"):
+        left = random_hybrid_nesting(rng, props, noms, rng.randint(0, depth - 1), scope)
+        return (Until if pick == "until" else And)(left, random_hybrid_nesting(rng, props, noms, depth - 1, scope))
+    child = random_hybrid_nesting(rng, props, noms, depth - 1, scope)
+    if pick == "spatial":
+        return Spatial(rng.choice(DIRECTIONS), child)
     return Next(child) if pick == "next" else Not(child)
 
 

@@ -514,7 +514,7 @@ class TestProgression:
             if i % 2:
                 spec = random_core_formula(rng, props, noms, rng.randint(4, 10))
             else:
-                spec = random_hybrid_nesting(rng, noms, rng.randint(2, 5))
+                spec = random_hybrid_nesting(rng, props, noms, rng.randint(2, 5))
             for algorithm in Algorithm:
                 cfg = cfg_of(g, props, noms, aset, min(n, 2), algorithm, spec=spec)
                 result = sat_traces(cfg)

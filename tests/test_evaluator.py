@@ -10,7 +10,7 @@ from conftest import random_core_formula, random_hybrid_nesting, random_trace, s
 from hstl.core import Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
 from hstl.evaluator import CompiledFormula, EvalStats, evaluate, evaluate_naive, sat_points
-from hstl.formula import And, Bind, Nom, Prop, Top, desugar, index_nodes, parse
+from hstl.formula import And, At, Bind, Nom, Prop, Top, desugar, index_nodes, parse
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
 
@@ -167,13 +167,41 @@ class TestCaptureKey:
             assert evaluate(g, t, p, f)
         assert sat_points(g, t, f) == frozenset(g.positions())
 
+    def test_captures_of_different_widths_never_share_a_key(self):
+        # ``@a b`` reads two captures and ``a`` below ``X`` one; at the
+        # first step their (node, cell, captures) keys differ only in
+        # width, and ``X a`` is false on one state, so the formula is
+        # ``↓a ↓b @a b``, true everywhere.
+        for g in (make_grid(2, 1), make_grid(1, 2)):
+            t = Trace([State(g, {}, {})])
+            f = prepared("↓a ↓b (@a b & ! Front X a)", [], [], g)
+            assert sat_points(g, t, f) == frozenset(g.positions())
+            for p in g.positions():
+                assert evaluate(g, t, p, f) and evaluate_naive(g, t, p, f)
+
+    def test_jump_below_two_binders_next_to_a_spatial_step(self):
+        g = make_grid(2, 1)
+        t = Trace([State(g, {"h": frozenset({Position(2, 1)})}, {})])
+        f = prepared("↓u (↓v @u (v & h) & Front u)", ["h"], [], g)
+        assert sat_points(g, t, f) == frozenset()
+        for p in g.positions():
+            assert not evaluate(g, t, p, f) and not evaluate_naive(g, t, p, f)
+
+    def test_a_jump_never_reads_the_viewpoint(self):
+        g = make_grid(2, 1)
+        f = prepared("↓u (h & @u (Front u & h))", ["h"], [], g)
+        reads, captured = CompiledFormula(f, g, ("h",), ()).tables()
+        jump = next(i for i, e in index_nodes(f).entries.items() if isinstance(e.formula, At))
+        assert reads == (True, True, True, False, True, True, True, True)
+        assert not reads[jump] and captured[jump] == (0,)
+
     def test_hybrid_nestings_agree_with_the_oracle(self):
         rng = random.Random(0x1A)
         mismatches = 0
-        for _ in range(400):
-            g = make_grid(*rng.choice([(2, 1), (1, 2), (2, 2), (3, 1)]))
-            t = random_trace(rng, g, [], ["z", "w"], 3)
-            f = random_hybrid_nesting(rng, ["z", "w"], rng.randint(2, 6))
+        for _ in range(3000):  # two-cell grids most, where distinct keys lie closest
+            g = make_grid(*rng.choice([(2, 1), (1, 2), (2, 1), (1, 2), (2, 2), (3, 1)]))
+            t = random_trace(rng, g, ["h"], ["z", "w"], 3)
+            f = random_hybrid_nesting(rng, ["h"], ["z", "w"], rng.randint(2, 10))
             naive = frozenset(p for p in g.positions() if evaluate_naive(g, t, p, f))
             pointwise = frozenset(p for p in g.positions() if evaluate(g, t, p, f))
             mismatches += naive != pointwise or naive != sat_points(g, t, f)
