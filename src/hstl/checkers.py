@@ -2,23 +2,21 @@
 
 Three generators of increasing selectivity produce every trace of length
 1..max_len compatible with the assumptions each enforces: the pruning
-assumptions that :func:`unenforced_assumptions` does not name.  They
-share one pipeline: one source of states (every proposition assignment
-and nominal placement, filtered by the enforced global-state
-assumptions, those whose formula has no G), the initial check on first
-states, and a successor function.  On a one-state trace a check's
-verdict depends only on the proposition masks and nominal cells its
-formula reads freely, so the filter evaluates each check once per
-distinct value of those slots and looks the verdict up for every other
-state.
+assumptions that :func:`unenforced_assumptions` does not name.  A trace
+starts at a state of :meth:`_Context.iter_states` (the proposition
+assignments and nominal placements that pass the enforced global-state
+assumptions, those whose formula has no G) that passes the initial
+checks, and :func:`_iter_encoded` walks the one transition relation,
+:meth:`_Context.successors`, on an explicit stack.  A check's verdict on
+one state depends only on the slots its formula reads freely, so the
+filter evaluates it once per distinct value of those slots.
 
 * baseline    — the full product space; it enforces no assumption, so
   the filter passes every state;
-* optimized   — products over the states that pass the global-state
-  assumptions per state (the first state additionally passes the
-  initial assumptions);
-* motion      — depth-first extension through per-slot successor tables
-  built from the enforced static, fixed and relative motion assumptions:
+* optimized   — every state that passes the global-state assumptions
+  may follow any state (the first state additionally passes the initial
+  assumptions);
+* motion      — successors through per-slot successor tables built from the enforced static, fixed and relative motion assumptions:
   a fixed-motion nominal moves to the cells from which some move path
   leads back to its previous cell (a static nominal is one whose only
   move is to stay), any other nominal ranges over every cell; dependents
@@ -38,11 +36,11 @@ Enumeration order is fully deterministic and documented.  Within one
 state, proposition assignments take the propositions in name order,
 each subset an ascending bitmask over row-major cells, and nominal
 placements take the nominals in name order, last nominal fastest, cells
-row-major.  Baseline and optimized vary the proposition assignments
-outermost and the placements innermost, and yield shorter traces
-first.  Motion's first states also vary the assignments outermost; its
-successor steps vary the placements outermost and the assignments
-innermost, depth-first, each prefix yielded before it is extended.
+row-major.  First states, and every successor under baseline and
+optimized, vary the assignments outermost and the placements innermost;
+those two make one pass per length, shorter traces first.  Motion's
+successors vary the placements outermost and the assignments innermost,
+and its one pass yields each prefix before it is extended.
 
 :class:`CheckResult` progresses the specification along the stream
 (:class:`~hstl.evaluator.Progression`), from the longest prefix each
@@ -59,6 +57,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GridGraph, Position, State, Trace, apply_path
@@ -279,6 +278,37 @@ class _Context:
                 if self.passes_global(enc):
                     yield enc
 
+    _states: list[EncodedState] | None = None  # every state passing the global checks, once listed
+
+    def successors(self, state: EncodedState | None, stop: StopCheck = None) -> Iterable[EncodedState]:
+        """The states that may follow ``state``, or start a trace if it is
+        None (before the initial checks).  Under motion, the first states
+        stream from :meth:`iter_states`, and a state's successors are the
+        placements the successor tables allow from its cells (outermost, the
+        stop check once each) times every proposition assignment, filtered
+        by the global checks.  Otherwise every state :meth:`iter_states`
+        yields, listed once, follows any state."""
+        if self.cfg.algorithm is not Algorithm.MOTION:
+            if self._states is None:
+                self._states = list(self.iter_states(stop))
+            return self._states
+        return self.iter_states(stop) if state is None else self._moves(state[1], stop)
+
+    @cached_property
+    def _prop_masks(self) -> list[tuple[int, ...]]:
+        return list(_all_prop_masks(self.P, len(self.props)))
+
+    def _moves(self, cells: tuple[int, ...], stop: StopCheck) -> Iterator[EncodedState]:
+        prop_masks = self._prop_masks
+        filtered = bool(self.global_checks)  # with no check every candidate passes
+        for nom_cells in self.placements([table[cells[i]] for i, table in zip(self.non_dependent, self.next_cells)]):
+            if stop is not None and stop():
+                return
+            for masks in prop_masks:
+                enc = (masks, nom_cells)
+                if not filtered or self.passes_global(enc):
+                    yield enc
+
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -301,55 +331,29 @@ def baseline_trace_count(g: GridGraph, n_props: int, n_noms: int, max_len: int) 
 # ---------------------------------------------------------------------------
 
 
-def _iter_encoded_optimized(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
-    """Products over the filtered states, shorter traces first."""
-    step_states = []
-    first_states = []
-    for enc in ctx.iter_states(stop):
-        step_states.append(enc)
-        if ctx.passes_initial(enc):
-            first_states.append(enc)
-    if stop is not None and stop():
-        return
-    for k in range(ctx.cfg.max_len):
-        for head in first_states:
-            for tail in itertools.product(step_states, repeat=k):
-                yield (head,) + tail
-
-
-def _iter_encoded_motion(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
-    n = ctx.cfg.max_len
-    prop_masks = list(_all_prop_masks(ctx.P, len(ctx.props)))
-    steps = tuple(zip(ctx.non_dependent, ctx.next_cells))
-    filtered = bool(ctx.global_checks)  # with no check every candidate passes
-
-    def extend(k: int, state: EncodedState, trace: list[EncodedState]) -> Iterator[tuple[EncodedState, ...]]:
-        yield tuple(trace)
-        if k == n:
-            return
-        cells = state[1]
-        for nom_cells in ctx.placements([table[cells[idx]] for idx, table in steps]):
-            if stop is not None and stop():
-                return
-            for masks in prop_masks:
-                enc = (masks, nom_cells)
-                if not filtered or ctx.passes_global(enc):
-                    trace.append(enc)
-                    yield from extend(k + 1, enc, trace)
-                    trace.pop()
-
-    try:
-        for init in ctx.iter_states(stop):
-            if ctx.passes_initial(init):
-                yield from extend(1, init, [init])
-    finally:
-        del extend  # it refers to itself, and so to ``ctx``, through its closure
-
-
 def _iter_encoded(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
-    if ctx.cfg.algorithm is Algorithm.MOTION:
-        return _iter_encoded_motion(ctx, stop)
-    return _iter_encoded_optimized(ctx, stop)
+    """The one walk: depth-first over :meth:`_Context.successors` from the
+    first states, on an explicit stack.  Motion makes one pass to
+    ``max_len`` and yields each prefix before its extensions; the others
+    make one pass per length and yield the traces of that length only."""
+    n = ctx.cfg.max_len
+    every_prefix = ctx.cfg.algorithm is Algorithm.MOTION
+    for k in (n,) if every_prefix else range(1, n + 1):
+        trace: list[EncodedState] = []
+        stack = [filter(ctx.passes_initial, ctx.successors(None, stop))]  # per position, its states left
+        while stack:
+            for state in stack[-1]:
+                trace.append(state)
+                if every_prefix or len(trace) == k:
+                    yield tuple(trace)
+                if len(trace) < k:
+                    stack.append(iter(ctx.successors(state, stop)))
+                    break
+                trace.pop()
+            else:
+                stack.pop()
+                if trace:
+                    trace.pop()
 
 
 def _traces(cfg: CheckerConfig) -> Iterator[Trace]:

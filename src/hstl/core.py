@@ -334,12 +334,13 @@ def _position_from_pair(g: GridGraph, pair, what: str) -> Position:
 def read_field(doc, key, what: str, kind: type | tuple[type, ...] = (list, tuple)):
     """``doc[key]`` (an object's key or a list's index) if present and a
     ``kind``: by default a list, or a tuple from a Python caller, never a
-    string.  Otherwise a ValidationError naming the field as missing or mistyped."""
+    string; a bool is not an int.  Otherwise a ValidationError naming the
+    field as missing or mistyped."""
     try:
         value = doc[key]
     except (KeyError, IndexError, TypeError):
         raise ValidationError(f"{what}: missing {key!r}") from None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         expected = {dict: "an object", int: "an integer", str: "a string"}.get(kind, "a list")
         raise ValidationError(f"{what}: {key!r} must be {expected}, got {value!r}")
     return value

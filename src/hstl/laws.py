@@ -33,42 +33,33 @@ _PROPS = frozenset({"q"})
 _NOMS = frozenset({"a", "b"})
 
 
-def _law(name: str, text: str) -> tuple[str, str]:
-    return (name, text)
-
-
 def validity_laws() -> list[tuple[str, str]]:
     """Name/formula pairs that must hold on every model."""
     laws = [
-        _law("commute_front_right", "Front Right q <-> Right Front q"),
-        _law("commute_front_left", "Front Left q <-> Left Front q"),
-        _law("commute_back_right", "Back Right q <-> Right Back q"),
-        _law("commute_back_left", "Back Left q <-> Left Back q"),
-        _law("loop_frbl", "Front Right Back Left q -> q"),
-        _law("loop_rflb", "Right Front Left Back q -> q"),
-        _law("loop_flbr", "Front Left Back Right q -> q"),
-        _law("loop_brfl", "Back Right Front Left q -> q"),
+        ("commute_front_right", "Front Right q <-> Right Front q"),
+        ("commute_front_left", "Front Left q <-> Left Front q"),
+        ("commute_back_right", "Back Right q <-> Right Back q"),
+        ("commute_back_left", "Back Left q <-> Left Back q"),
+        ("loop_frbl", "Front Right Back Left q -> q"),
+        ("loop_rflb", "Right Front Left Back q -> q"),
+        ("loop_flbr", "Front Left Back Right q -> q"),
+        ("loop_brfl", "Back Right Front Left q -> q"),
     ]
     for d in ("Front", "Back", "Left", "Right"):
-        laws.append(_law(f"next_commutes_{d.lower()}", f"X {d} q <-> {d} X q"))
-        laws.append(_law(f"future_commutes_{d.lower()}", f"F {d} q <-> {d} F q"))
-        laws.append(_law(f"always_commutes_{d.lower()}", f"G {d} q <-> {d} G q"))
-        laws.append(
-            _law(f"until_distributes_{d.lower()}", f"{d} (q U b) <-> (({d} q) U ({d} b))")
-        )
+        laws.append((f"next_commutes_{d.lower()}", f"X {d} q <-> {d} X q"))
+        laws.append((f"future_commutes_{d.lower()}", f"F {d} q <-> {d} F q"))
+        laws.append((f"always_commutes_{d.lower()}", f"G {d} q <-> {d} G q"))
+        laws.append((f"until_distributes_{d.lower()}", f"{d} (q U b) <-> (({d} q) U ({d} b))"))
     laws += [
-        _law("bind_here", "↓a a"),
-        _law("at_self", "@a a"),
-        _law("at_symmetry", "@a b -> @b a"),
-        _law("at_transfer", "(@a b & @a q) -> @b q"),
-        _law("bind_at_intro", "↓a (q | a) <-> ↓a @a (q | a)"),
-        _law("bind_commutes_next", "↓a X (q | a) <-> X ↓a (q | a)"),
-        _law("bind_commutes_future", "↓a F (q | a) <-> F ↓a (q | a)"),
-        _law("bind_commutes_always", "↓a G (q | a) <-> G ↓a (q | a)"),
-        _law(
-            "bind_distributes_until",
-            "↓a ((q | a) U (b | a)) <-> ((↓a (q | a)) U (↓a (b | a)))",
-        ),
+        ("bind_here", "↓a a"),
+        ("at_self", "@a a"),
+        ("at_symmetry", "@a b -> @b a"),
+        ("at_transfer", "(@a b & @a q) -> @b q"),
+        ("bind_at_intro", "↓a (q | a) <-> ↓a @a (q | a)"),
+        ("bind_commutes_next", "↓a X (q | a) <-> X ↓a (q | a)"),
+        ("bind_commutes_future", "↓a F (q | a) <-> F ↓a (q | a)"),
+        ("bind_commutes_always", "↓a G (q | a) <-> G ↓a (q | a)"),
+        ("bind_distributes_until", "↓a ((q | a) U (b | a)) <-> ((↓a (q | a)) U (↓a (b | a)))"),
     ]
     return laws
 
@@ -76,10 +67,10 @@ def validity_laws() -> list[tuple[str, str]]:
 def non_validity_laws() -> list[tuple[str, str]]:
     """Refutable schemes; a countermodel must exist within small bounds."""
     return [
-        _law("at_is_time_sensitive", "@a q -> X @a q"),
-        _law("at_future_no_commute", "@a F q <-> F @a q"),
-        _law("at_spatial_no_commute", "@a Front q <-> Front @a q"),
-        _law("bind_spatial_no_commute", "↓a Front a <-> Front ↓a a"),
+        ("at_is_time_sensitive", "@a q -> X @a q"),
+        ("at_future_no_commute", "@a F q <-> F @a q"),
+        ("at_spatial_no_commute", "@a Front q <-> Front @a q"),
+        ("bind_spatial_no_commute", "↓a Front a <-> Front ↓a a"),
     ]
 
 

@@ -197,10 +197,6 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
             )
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
-    try:
-        max_len = int(read_field(doc, "max_trace_length", what, object))
-    except (TypeError, ValueError):
-        raise ValidationError(f"scenario document: bad max_trace_length {doc['max_trace_length']!r}") from None
     return Scenario(
         name=str(read_field(doc, "name", what, object)),
         grid=make_grid(read_field(grid_doc, "rows", "'grid'", int), read_field(grid_doc, "cols", "'grid'", int)),
@@ -208,7 +204,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
         nominals=read_strings(doc, "nominals", what),
         assumptions=tuple(assumptions),
         specification=read_strings(doc, "specification", what),
-        max_trace_length=max_len,
+        max_trace_length=read_field(doc, "max_trace_length", what, int),
     )
 
 

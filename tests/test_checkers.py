@@ -447,6 +447,12 @@ class TestSatTraces:
         assert result.traces_generated == 20
         assert result.traces_satisfying == 0
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_trace_longer_than_the_recursion_limit(self, algorithm):
+        # Every generator walks its own stack, whatever the trace length.
+        cfg = cfg_of(make_grid(1, 1), [], ["z"], AssumptionSet([StaticCar("z")]), 1100, algorithm)
+        assert sum(1 for _ in sat_traces(cfg)) == 1100
+
     def test_baseline_run_lists_no_proposition_assignments(self):
         # Only motion lists the per-step proposition assignments; baseline
         # streams them.  On a 5x4 grid there are 2^20 per proposition.

@@ -8,7 +8,7 @@ import pytest
 
 from hstl.cli import main
 from hstl.core import Position, State, Trace, make_grid, trace_to_json_dict
-from hstl.scenarios import intersection, save_scenario, scenario_to_json_dict
+from hstl.scenarios import Scenario, ScenarioAssumption, intersection, save_scenario, scenario_to_json_dict
 
 
 @pytest.fixture
@@ -102,6 +102,25 @@ class TestCheck:
         assert header.startswith("Test,Noms,Grid,Len,#Sat")
         assert row.split(",")[0] == "intersection(2)"
 
+    def test_trace_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # The motion walk keeps its own stack, so the length is not bounded
+        # by the interpreter's recursion limit.
+        path = tmp_path / "long.json"
+        scenario = Scenario(
+            name="long",
+            grid=make_grid(1, 1),
+            propositions=(),
+            nominals=("z",),
+            assumptions=(ScenarioAssumption(kind="static", nominal="z"),),
+            specification=("1",),
+            max_trace_length=1100,
+        )
+        save_scenario(scenario, path)
+        code = main(["check", "--scenario", str(path), "--algorithm", "motion", "--emit", "csv"])
+        assert code == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["#Sat"] == "1100"
+
     def test_traces_emission(self, scenario_file, capsys):
         code = main(
             ["check", "--scenario", str(scenario_file), "--algorithm", "motion", "--emit", "traces"]
@@ -179,6 +198,7 @@ _MALFORMED_TRACES = {
     "nominals_a_string": (lambda d: d.update(nominals="z"), "'nominals'"),
     "document_a_list": (lambda d: [d], "'grid'"),
     "proposition_not_a_string": (lambda d: d.update(propositions=[["h"]]), "'propositions'"),
+    "rows_a_bool": (lambda d: d["grid"].update(rows=True), "'rows'"),
 }
 _MALFORMED_SCENARIOS = {
     "assumptions_not_a_list": (lambda d: d.update(assumptions=5), "'assumptions'"),
@@ -192,6 +212,10 @@ _MALFORMED_SCENARIOS = {
     ),
     "formula_not_a_string": (lambda d: d.update(assumptions=[{"kind": "raw", "formula": 5}]), "formula"),
     "max_trace_length_not_a_number": (lambda d: d.update(max_trace_length="x"), "max_trace_length"),
+    "max_trace_length_a_fraction": (lambda d: d.update(max_trace_length=2.9), "'max_trace_length'"),
+    "max_trace_length_a_bool": (lambda d: d.update(max_trace_length=True), "'max_trace_length'"),
+    "max_trace_length_a_numeric_string": (lambda d: d.update(max_trace_length="2"), "'max_trace_length'"),
+    "rows_a_bool": (lambda d: d["grid"].update(rows=True), "'rows'"),
     "propositions_a_string": (lambda d: d.update(propositions="h"), "'propositions'"),
     "nominal_not_a_string": (
         lambda d: d.update(assumptions=[{"kind": "fixed", "nominal": [1], "moves": [[]]}]),
