@@ -191,14 +191,6 @@ class State:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("State is immutable")
 
-    @property
-    def prop_names(self) -> frozenset[str]:
-        return frozenset(self.props)
-
-    @property
-    def nominal_names(self) -> frozenset[str]:
-        return frozenset(self.noms)
-
     def with_nominal(self, name: str, p: Position) -> "State":
         """A copy of this state with one nominal repositioned (or added)."""
         noms = dict(self.noms)
@@ -319,13 +311,9 @@ def trace_to_json_dict(t: Trace) -> dict:
 
 
 def _position_from_pair(g: GridGraph, pair, what: str) -> Position:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(x, int) for x in pair)
-    ):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValidationError(f"{what}: expected an [i, j] pair, got {pair!r}")
-    p = Position(pair[0], pair[1])
+    p = Position(read_field(pair, 0, what, int), read_field(pair, 1, what, int))
     if not g.contains(p):
         raise ValidationError(f"{what}: {p} is outside the {g.rows}x{g.cols} grid")
     return p

@@ -20,6 +20,11 @@ Concrete grammar, loosest binding first::
               | primary
     primary :=  '1' | '0' | NAME | '(' iff ')'
 
+The tokenizer, the parser and :func:`render` read one set of operator
+tables: ``_PREFIX``, ``_BINDERS``, ``_BOUNDED``, ``_INFIX`` and the
+:class:`~hstl.core.Direction` values.  ``_INFIX``'s levels 1-5 are the
+``iff``..``and`` rules above, which the parser climbs in one routine.
+
 ``1`` and ``0`` are the boolean constants.  ``F`` (eventually) and
 ``Front`` are distinct keywords.  A bound omitted from ``<D>``/``[D]``
 defaults at desugar time to the grid's row count for Front/Back and its
@@ -352,14 +357,26 @@ def index_nodes(f: Formula) -> NodeTable:
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Concrete syntax: the operator tables, rendering and parsing
 # ---------------------------------------------------------------------------
 
-_DIR_NAMES = {d: d.value for d in Direction}
-# Operator spellings; the parser also reads _PREFIX.
 _PREFIX = {"!": Not, "X": Next, "WX": WeakNext, "G": Globally, "F": Eventually}
+_BINDERS = {"@": At, "↓": Bind, "down": Bind}  # render writes a node's first spelling
+_BOUNDED = {"<": (SomeDir, ">"), "[": (AllDir, "]")}  # node, closing bracket
+# Loosest first, as in the grammar: spelling -> (level, node, right-associative).
+_INFIX = {
+    "<->": (1, Iff, True),
+    "->": (2, Implies, True),
+    "U": (3, Until, True),
+    "|": (4, Or, False),
+    "&": (5, And, False),
+}
+_DIR_BY_NAME = {d.value: d for d in Direction}
+
 _PREFIX_TEXT = {node: text for text, node in _PREFIX.items()}
-_INFIX_TEXT = {And: "&", Or: "|", Until: "U", Implies: "->", Iff: "<->"}
+_BINDER_TEXT = {node: text for text, node in reversed(_BINDERS.items())}
+_BOUNDED_TEXT = {node: (opening, closing) for opening, (node, closing) in _BOUNDED.items()}
+_INFIX_TEXT = {node: text for text, (_, node, _) in _INFIX.items()}
 
 
 def render(f: Formula) -> str:
@@ -374,76 +391,44 @@ def render(f: Formula) -> str:
     if type(f) in _PREFIX_TEXT:
         return f"{_PREFIX_TEXT[type(f)]} {render(f.child)}"
     if isinstance(f, Spatial):
-        return f"{_DIR_NAMES[f.direction]} {render(f.child)}"
-    if isinstance(f, At):
-        return f"@{f.nominal} {render(f.child)}"
-    if isinstance(f, Bind):
-        return f"↓{f.nominal} {render(f.child)}"
-    if isinstance(f, SomeDir):
+        return f"{f.direction.value} {render(f.child)}"
+    if type(f) in _BINDER_TEXT:
+        return f"{_BINDER_TEXT[type(f)]}{f.nominal} {render(f.child)}"
+    if type(f) in _BOUNDED_TEXT:
+        opening, closing = _BOUNDED_TEXT[type(f)]
         bound = "" if f.bound is None else f":{f.bound}"
-        return f"<{_DIR_NAMES[f.direction]}{bound}> {render(f.child)}"
-    if isinstance(f, AllDir):
-        bound = "" if f.bound is None else f":{f.bound}"
-        return f"[{_DIR_NAMES[f.direction]}{bound}] {render(f.child)}"
+        return f"{opening}{f.direction.value}{bound}{closing} {render(f.child)}"
     if type(f) in _INFIX_TEXT:
         return f"({render(f.left)} {_INFIX_TEXT[type(f)]} {render(f.right)})"
     raise ValidationError(f"unknown formula node {type(f).__name__}")
 
 
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
-_KEYWORDS = {"X", "WX", "U", "G", "F", "Front", "Back", "Left", "Right", "down"}
-_DIR_BY_NAME = {d.value: d for d in Direction}
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+_SPELLINGS = {*_PREFIX, *_BINDERS, *_BOUNDED, *_INFIX, *_DIR_BY_NAME, *"():"}
+_SPELLINGS.update(closing for _, closing in _BOUNDED.values())
+_KEYWORDS = frozenset(filter(_NAME_RE.fullmatch, _SPELLINGS))
+_SYMBOLS = sorted(_SPELLINGS - _KEYWORDS, key=lambda s: (-len(s), s))  # longest first
+_TOKEN_RE = re.compile(  # "bad" takes any other non-space character, so finditer skips no text
+    rf"\s*(?:(?P<name>{_NAME_RE.pattern})|(?P<int>[0-9]+)"
+    rf"|(?P<sym>{'|'.join(map(re.escape, _SYMBOLS))})|(?P<bad>\S))"
+)
 
-_Token = tuple[str, str, int]  # (kind, text, offset)
+_Token = tuple[str, str, int]  # (kind, text, offset); an operator's kind is its spelling
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("<->", "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(("->", "->", i))
-            i += 2
-            continue
-        if ch in "()&|!@<>[]:":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "↓":
-            tokens.append(("down", ch, i))
-            i += 1
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(("int", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            word = m.group()
-            if word == "down":
-                tokens.append(("down", word, i))
-            elif word in _KEYWORDS:
-                tokens.append((word, word, i))
-            else:  # one string object per name, however many nodes carry it
-                tokens.append(("name", sys.intern(word), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("eof", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word = m[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start(kind))
+        if kind == "sym" or word in _KEYWORDS:
+            kind = word
+        elif kind == "name":  # one string object per name, however many nodes carry it
+            word = sys.intern(word)
+        tokens.append((kind, word, m.start(m.lastgroup)))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -465,9 +450,6 @@ class _Parser:
         self.noms = noms
         self.scope: list[str] = []  # binder-introduced nominals, innermost last
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
@@ -479,95 +461,56 @@ class _Parser:
             raise ParseError(f"expected {kind!r} but found {tok[1]!r}", tok[2])
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok[2])
-
-    # grammar levels, loosest first
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek()[0] == "<->":
-            self.take()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_until()
-        if self.peek()[0] == "->":
-            self.take()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_until(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "U":
-            self.take()
-            return Until(left, self.parse_until())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek()[0] == "|":
-            self.take()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
+    def parse_infix(self, min_level: int = 1) -> Formula:
+        """Operands joined by binary operators of ``min_level`` or tighter
+        (precedence climbing: one frame per operand, not one per level)."""
         left = self.parse_unary()
-        while self.peek()[0] == "&":
+        while True:
+            op = _INFIX.get(self.tokens[self.pos][0])
+            if op is None or op[0] < min_level:
+                return left
+            level, node, right_assoc = op
             self.take()
-            left = And(left, self.parse_unary())
-        return left
-
-    def nominal_token(self) -> str:
-        tok = self.take()
-        if tok[0] != "name":
-            raise ParseError(f"expected a nominal name, found {tok[1]!r}", tok[2])
-        return tok[1]
+            left = node(left, self.parse_infix(level if right_assoc else level + 1))
 
     def parse_unary(self) -> Formula:
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tokens[self.pos]
         if kind in _PREFIX:
             self.take()
             return _PREFIX[kind](self.parse_unary())
         if kind in _DIR_BY_NAME:
             self.take()
             return Spatial(_DIR_BY_NAME[kind], self.parse_unary())
-        if kind == "@":
+        if kind in _BINDERS:
             self.take()
-            name = self.nominal_token()
-            if name in self.props:
-                raise ParseError(f"{name!r} is a proposition, not a nominal", offset)
-            if name not in self.noms and name not in self.scope:
-                raise ParseError(f"undeclared nominal {name!r}", offset)
-            return At(name, self.parse_unary())
-        if kind == "down":
-            self.take()
-            name = self.nominal_token()
+            name_kind, name, at = self.take()
+            if name_kind != "name":
+                raise ParseError(f"expected a nominal name, found {name!r}", at)
+            if _BINDERS[kind] is At:
+                if name in self.props:
+                    raise ParseError(f"{name!r} is a proposition, not a nominal", offset)
+                if name not in self.noms and name not in self.scope:
+                    raise ParseError(f"undeclared nominal {name!r}", offset)
+                return At(name, self.parse_unary())
             if name in self.props:
                 raise ParseError(f"cannot bind {name!r}: it is a proposition", offset)
             validate_name(name, "bound nominal")
-            self.scope.append(name)
-            try:
-                child = self.parse_unary()
-            finally:
-                self.scope.pop()
+            self.scope.append(name)  # a failed parse discards the parser, so no finally
+            child = self.parse_unary()
+            self.scope.pop()
             return Bind(name, child)
-        if kind in ("<", "["):
-            closing = ">" if kind == "<" else "]"
+        if kind in _BOUNDED:
+            node, closing = _BOUNDED[kind]
             self.take()
             dir_tok = self.take()
             if dir_tok[0] not in _DIR_BY_NAME:
                 raise ParseError(f"expected a direction, found {dir_tok[1]!r}", dir_tok[2])
             bound: int | None = None
-            if self.peek()[0] == ":":
+            if self.tokens[self.pos][0] == ":":
                 self.take()
-                bound_tok = self.expect("int")
-                bound = int(bound_tok[1])
+                bound = int(self.expect("int")[1])
             self.expect(closing)
-            node_type = SomeDir if kind == "<" else AllDir
-            return node_type(_DIR_BY_NAME[dir_tok[0]], bound, self.parse_unary())
+            return node(_DIR_BY_NAME[dir_tok[0]], bound, self.parse_unary())
         return self.parse_primary()
 
     def parse_primary(self) -> Formula:
@@ -585,7 +528,7 @@ class _Parser:
                 return Nom(text)
             raise ParseError(f"undeclared identifier {text!r}", offset)
         if kind == "(":
-            inner = self.parse_iff()
+            inner = self.parse_infix()
             self.expect(")")
             return inner
         raise ParseError(f"unexpected token {text!r}", offset)
@@ -600,17 +543,15 @@ def parse(text: str, props: frozenset[str] | set[str], noms: frozenset[str] | se
     """
     if not isinstance(text, str):
         raise ValidationError(f"a formula must be a string, got {text!r}")
-    props = frozenset(props)
-    noms = frozenset(noms)
-    clash = props & noms
-    if clash:
+    props, noms = frozenset(props), frozenset(noms)
+    if clash := props & noms:
         raise ValidationError(f"names declared as both proposition and nominal: {sorted(clash)}")
     for name in props:
         validate_name(name, "proposition")
     for name in noms:
         validate_name(name, "nominal")
     parser = _Parser(_tokenize(text), props, noms)
-    result = parser.parse_iff()
+    result = parser.parse_infix()
     end = parser.take()
     if end[0] != "eof":
         raise ParseError(f"unexpected trailing input {end[1]!r}", end[2])

@@ -427,6 +427,16 @@ class TestMotion:
         with pytest.raises(ValidationError, match="both proposition and nominal"):
             make_config(make_grid(2, 1), ["z"], ["z"], AssumptionSet(), Top(), 1, algorithm)
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_reserved_name_rejected_when_no_formula_mentions_it(self, algorithm):
+        # lower(StaticCar("_w")) binds the internal fresh nominal over its own
+        # vehicle, which makes the assumption vacuous; the name is refused first.
+        g = make_grid(2, 1)
+        with pytest.raises(ValidationError, match="reserved '_' prefix"):
+            make_config(g, [], ["_w"], AssumptionSet([StaticCar("_w")]), Top(), 2, algorithm)
+        with pytest.raises(ValidationError, match="reserved keyword"):
+            make_config(g, [], ["Front"], AssumptionSet([StaticCar("Front")]), Top(), 2, algorithm)
+
 
 class TestSatTraces:
     def test_emitted_points_match_sat_points(self):

@@ -102,6 +102,22 @@ class TestCheck:
         assert header.startswith("Test,Noms,Grid,Len,#Sat")
         assert row.split(",")[0] == "intersection(2)"
 
+    @pytest.mark.parametrize("algorithm", ["baseline", "optimized", "motion"])
+    def test_reserved_name_that_no_formula_mentions(self, algorithm, tmp_path, capsys):
+        doc = {
+            "name": "static_only",
+            "grid": {"rows": 2, "cols": 1},
+            "propositions": [],
+            "nominals": ["_w"],
+            "assumptions": [{"kind": "static", "nominal": "_w"}],
+            "specification": [],
+            "max_trace_length": 2,
+        }
+        path = tmp_path / "static_only.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", "--scenario", str(path), "--algorithm", algorithm]) == 2
+        assert "reserved" in capsys.readouterr().err
+
     def test_trace_longer_than_the_recursion_limit(self, tmp_path, capsys):
         # The motion walk keeps its own stack, so the length is not bounded
         # by the interpreter's recursion limit.
@@ -199,6 +215,8 @@ _MALFORMED_TRACES = {
     "document_a_list": (lambda d: [d], "'grid'"),
     "proposition_not_a_string": (lambda d: d.update(propositions=[["h"]]), "'propositions'"),
     "rows_a_bool": (lambda d: d["grid"].update(rows=True), "'rows'"),
+    "nominal_cell_bools": (lambda d: d["states"][0]["noms"].update(z=[True, True]), "nominal 'z'"),
+    "proposition_cell_bools": (lambda d: d["states"][0]["props"].update(h=[[True, True]]), "proposition 'h'"),
 }
 _MALFORMED_SCENARIOS = {
     "assumptions_not_a_list": (lambda d: d.update(assumptions=5), "'assumptions'"),

@@ -67,6 +67,8 @@ class TestParse:
 
     def test_ascii_binder_alias(self):
         assert p("down z2 z2") == p("↓z2 z2")
+        # A keyword is a whole word: "Fr" is a name, not F applied to r.
+        assert parse("F Fr", {"Fr"}, set()) == Eventually(Prop("Fr"))
 
     def test_bounded_modalities(self):
         assert p("<Front:3> h") == SomeDir(F, 3, Prop("h"))
@@ -88,6 +90,10 @@ class TestParse:
     def test_precedence(self, text, want):
         assert p(text) == p(want)
 
+    def test_deep_parentheses(self):
+        # One parser frame per operand, not one per precedence level.
+        assert parse("(" * 200 + "h" + ")" * 200, {"h"}, set()) == Prop("h")
+
     def test_prefix_chain(self):
         assert p("! X 1") == Not(Next(Top()))
         assert p("Front Back h") == Spatial(F, Spatial(B, Prop("h")))
@@ -99,7 +105,15 @@ class TestParse:
             p("@h z")  # proposition after @
         with pytest.raises(ParseError) as info:
             p("(h &")
-        assert info.value.position is not None
+        assert info.value.position == 4
+        with pytest.raises(ParseError, match=r"found '12' \(at offset 0\)"):
+            p("12abc")  # the integer 12, then the name abc
+        with pytest.raises(ParseError, match=r"trailing input 'abc' \(at offset 1\)"):
+            p("1abc")
+        with pytest.raises(ParseError, match=r"unexpected character '\$' \(at offset 2\)"):
+            p("h $ q")
+        with pytest.raises(ParseError, match=r"unexpected character 'é' \(at offset 0\)"):
+            p("é")
         with pytest.raises(ParseError):
             p("h h")  # trailing input
         with pytest.raises(ValidationError):
