@@ -22,6 +22,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SuffixUndefinedError, ValidationError
 
+#: Encoded state: (per-proposition position bitmasks, per-nominal cell indices).
+EncodedState = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 class Direction(enum.Enum):
     """One of the four grid moves. Front = +row, Right = +column."""
@@ -158,7 +161,7 @@ class State:
     the two maps; every declared nominal must be placed somewhere.
     """
 
-    __slots__ = ("grid", "props", "noms", "_key", "_hash")
+    __slots__ = ("grid", "props", "noms", "_key", "_hash", "_encoded")
 
     def __init__(
         self,
@@ -190,6 +193,23 @@ class State:
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("State is immutable")
+
+    def __reduce__(self):  # the encoding is not state: it is rebuilt on demand
+        return State, (self.grid, self.props, self.noms)
+
+    def encoded(self) -> tuple[tuple[str, ...], tuple[str, ...], EncodedState]:
+        """The proposition and nominal names, sorted, and the state over
+        them: per proposition the bitmask of its cells' row-major indices,
+        per nominal its cell's index.  Built on first use and kept."""
+        try:
+            return self._encoded
+        except AttributeError:
+            index, props, noms = self.grid.index, self.props, self.noms
+            prop_names, nom_names = tuple(sorted(props)), tuple(sorted(noms))
+            masks = tuple(sum(1 << index(c) for c in props[a]) for a in prop_names)  # distinct bits: sum is or
+            encoded = prop_names, nom_names, (masks, tuple(index(noms[v]) for v in nom_names))
+            object.__setattr__(self, "_encoded", encoded)
+            return encoded
 
     def with_nominal(self, name: str, p: Position) -> "State":
         """A copy of this state with one nominal repositioned (or added)."""
@@ -238,6 +258,9 @@ class Trace:
     def __setattr__(self, name, value):
         raise AttributeError("Trace is immutable")
 
+    def __reduce__(self):
+        return Trace, (self.states,)
+
     def __len__(self) -> int:
         return len(self.states)
 
@@ -249,11 +272,11 @@ class Trace:
 
     @property
     def prop_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.states[0].props))
+        return self.states[0].encoded()[0]
 
     @property
     def nominal_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.states[0].noms))
+        return self.states[0].encoded()[1]
 
     def __repr__(self) -> str:
         return f"Trace({list(self.states)!r})"

@@ -3,11 +3,14 @@
 Three routes are provided on purpose and kept independent:
 
 * :func:`evaluate` — the per-call path.  Formulas are compiled to flat
-  integer arrays, traces to bitmask/tuple form, and results are memoized
-  on ``(timestep, occurrence id, viewpoint cell)``: the target of an
-  ``@`` jump is read at the current timestep, so a node below an ``@``
-  inside an until can be reached at one (timestep, occurrence) with
-  several viewpoints.  A binder ``↓v`` writes the current cell into
+  integer arrays; each state is encoded once, to bitmask/tuple form, on
+  first use (:meth:`hstl.core.State.encoded`) and every later call reads
+  that encoding.  Results are memoized on ``(timestep, occurrence id,
+  viewpoint cell)``: the target of an ``@`` jump is read at the current
+  timestep, so a node below an ``@`` inside an until can be reached at
+  one (timestep, occurrence) with several viewpoints.  An until scans
+  forward over time, so the recursion's depth is the formula's, not the
+  trace's.  A binder ``↓v`` writes the current cell into
   ``v``'s capture slot, which the recursion carries below it (a freeze
   quantifier writing a register); nominal reads and ``@`` jumps prefer
   a captured cell to the state's.  A node that reads a captured slot is
@@ -36,6 +39,7 @@ from typing import Iterable
 
 from .core import (
     DIRECTIONS,
+    EncodedState,
     GridGraph,
     Position,
     State,
@@ -68,9 +72,6 @@ _TOP, _PROP, _NOM, _NOT, _AND, _NEXT, _UNTIL, _SPATIAL, _AT, _BIND = range(10)
 
 _DIR_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
 _LEAF = 1 << 62  # the variable of a BDD terminal, after every obligation
-
-#: Encoded state: (per-proposition position bitmasks, per-nominal cell indices).
-EncodedState = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,6 +204,7 @@ class CompiledFormula:
         its closure; dropping it on return frees the memo with the call."""
         n_nodes = self.n_nodes
         n_pos = self.grid.position_count
+        stride = n_nodes * n_pos  # between one node's keys at consecutive steps
         kinds, args, args2, aux, nbr = self.kinds, self.args, self.args2, self.aux, self.nbr
         if self._pick is None:  # a binder: build the tables, which set the keys
             self.tables()
@@ -234,13 +236,22 @@ class CompiledFormula:
                 res = ev(args[node], k, p, env) and ev(args2[node], k, p, env)
             elif kind == _NEXT:
                 res = k < last and ev(args[node], k + 1, p, env)
-            elif kind == _UNTIL:
-                if ev(args2[node], k, p, env):
-                    res = True
-                elif k < last:
-                    res = ev(args[node], k, p, env) and ev(node, k + 1, p, env)
-                else:
-                    res = False
+            elif kind == _UNTIL:  # scan forward: each step passed shares the answer of the step that decides
+                j, res = k, None
+                while res is None:
+                    if ev(args2[node], j, p, env):
+                        res = True
+                    elif j == last or not ev(args[node], j, p, env):
+                        res = False
+                    else:
+                        j += 1
+                        shift = (j - k) * stride
+                        res = memo[key + shift] if captures is None else side.get((key[0] + shift, key[1]))
+                for shift in range(stride, (j - k + 1) * stride, stride):  # steps k+1..j; step k below
+                    if captures is None:
+                        memo[key + shift] = res
+                    else:
+                        side[(key[0] + shift, key[1])] = res
             elif kind == _SPATIAL:
                 q = nbr[aux[node]][p]
                 res = q >= 0 and ev(args[node], k, q, env)
@@ -436,18 +447,6 @@ def _intern(ids: dict, items: list, key) -> int:
     return i
 
 
-def encode_state(s: State, g: GridGraph, prop_order: tuple[str, ...]) -> EncodedState:
-    """Pack a state into bitmask/index form over its declared nominals."""
-    bits = []
-    for name in prop_order:
-        mask = 0
-        for c in s.props[name]:
-            mask |= 1 << g.index(c)
-        bits.append(mask)
-    noms = tuple(g.index(s.noms[name]) for name in sorted(s.noms))
-    return tuple(bits), noms
-
-
 def _check_symbols(
     f: Formula, props: Iterable[str], noms: Iterable[str]
 ) -> tuple[SymbolUsage, tuple[str, ...]]:
@@ -466,7 +465,7 @@ def _check_symbols(
 
 def _check_inputs(g: GridGraph, t: Trace, p: Position | None = None) -> None:
     """The one check that the trace is over ``g`` and the start point on it."""
-    if t.grid != g:
+    if t.grid is not g and t.grid != g:
         raise ValidationError(f"trace is over a {t.grid.rows}x{t.grid.cols} grid, not {g.rows}x{g.cols}")
     if p is not None and not g.contains(p):
         raise ValidationError(f"start point {p} is outside the {g.rows}x{g.cols} grid")
@@ -476,9 +475,8 @@ def _prepare(
     g: GridGraph, t: Trace, f: Formula, p: Position | None = None
 ) -> tuple[CompiledFormula, list[EncodedState]]:
     _check_inputs(g, t, p)
-    compiled = compile_formula(f, g, t.prop_names, t.nominal_names)
-    states = [encode_state(s, g, t.prop_names) for s in t.states]
-    return compiled, states
+    props, noms, _ = t.states[0].encoded()
+    return compile_formula(f, g, props, noms), [s.encoded()[2] for s in t.states]
 
 
 def evaluate(g: GridGraph, t: Trace, p: Position, f: Formula, stats: EvalStats | None = None) -> bool:

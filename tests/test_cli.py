@@ -54,18 +54,26 @@ class TestEval:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_recursion_overflow_is_an_error(self, tmp_path, capsys):
-        # Until recurses once per timestep, so a long trace overflows the stack.
-        g = make_grid(2, 1)
-        t = Trace([State(g, {}, {"z": Position(1, 1)})] * 1000)
-        path = tmp_path / "long.json"
-        path.write_text(json.dumps(trace_to_json_dict(t)), encoding="utf-8")
+    def test_recursion_overflow_is_an_error(self, trace_file, capsys):
+        # The formula's depth, not the trace's length, bounds the recursion.
         code = main(
-            ["eval", "--grid", "2x1", "--formula", "G (z | Front z)", "--trace", str(path), "--point", "1,1"]
+            ["eval", "--grid", "2x2", "--formula", "X " * 5000 + "1", "--trace", str(trace_file), "--point", "1,1"]
         )
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_until_over_a_long_trace(self, tmp_path, capsys):
+        # Until scans forward over time, so a trace longer than the
+        # recursion limit is evaluated, not overflowed.
+        g = make_grid(2, 1)
+        t = Trace([State(g, {}, {"z": Position(1, 1)})] * 1000)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(trace_to_json_dict(t)), encoding="utf-8")
+        for point, code, verdict in (("1,1", 0, "true"), ("2,1", 1, "false")):
+            args = ["eval", "--grid", "2x1", "--formula", "G (z | Front z)", "--trace", str(path), "--point", point]
+            assert main(args) == code
+            assert capsys.readouterr().out == verdict + "\n"
 
     def test_grid_mismatch_is_an_error(self, trace_file):
         code = main(

@@ -1,5 +1,7 @@
 """Grid geometry, states, traces, surgery, and the interchange format."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -151,6 +153,25 @@ class TestStateAndTrace:
         t = Trace([State(g, {}, {"z": Position(1, 1)})])
         with pytest.raises(ValidationError):
             substitute(t, "y", Position(1, 1), 0)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        g = make_grid(1, 1)
+        s = State(g, {"h": [Position(1, 1)]}, {"z": Position(1, 1)})
+        t = Trace([s, State(g, {"h": []}, {"z": Position(1, 1)})])
+        s.encoded()  # a filled encoding is rebuilt on the copy, not carried
+        for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            s2, t2 = clone(s), clone(t)
+            assert s2 == s and hash(s2) == hash(s) and s2.encoded() == s.encoded()
+            assert t2 == t and hash(t2) == hash(t) and t2.prop_names == ("h",)
+            with pytest.raises(AttributeError):
+                s2.props = {}
+
+    def test_encoding_is_sorted_and_kept(self):
+        g = make_grid(2, 2)
+        s = State(g, {"k": [Position(2, 2)], "h": [Position(1, 1), Position(2, 1)]}, {"z": Position(1, 2), "y": Position(2, 1)})
+        assert s.encoded() == (("h", "k"), ("y", "z"), ((0b0101, 0b1000), (2, 1)))
+        assert s.encoded() is s.encoded()
+        assert Trace([s]).prop_names == ("h", "k") and Trace([s]).nominal_names == ("y", "z")
 
 
 class TestTraceJson:

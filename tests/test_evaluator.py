@@ -1,13 +1,22 @@
 """Satisfaction semantics: fixtures, the naive-oracle differential, memo bounds."""
 
 import gc
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
-from conftest import random_core_formula, random_hybrid_nesting, random_trace, safe_follow_model
-from hstl.core import Direction, Position, State, Trace, make_grid
+from conftest import (
+    random_core_formula,
+    random_exactness_instance,
+    random_hybrid_nesting,
+    random_trace,
+    safe_follow_model,
+)
+from hstl.checkers import Algorithm, generate_traces_baseline, generate_traces_motion, generate_traces_optimized, make_config
+from hstl.core import Direction, Position, State, Trace, make_grid, substitute
+from hstl.idioms import lower
 from hstl.errors import ValidationError
 from hstl.evaluator import CompiledFormula, EvalStats, evaluate, evaluate_naive, sat_points
 from hstl.formula import And, At, Bind, Nom, Prop, Top, desugar, index_nodes, parse
@@ -206,6 +215,98 @@ class TestCaptureKey:
             pointwise = frozenset(p for p in g.positions() if evaluate(g, t, p, f))
             mismatches += naive != pointwise or naive != sat_points(g, t, f)
         assert mismatches == 0
+
+
+def fresh_encoding(s, g):
+    """The encoding of ``s`` over ``g``, read off the row-major cell list."""
+    cells = list(g.positions())
+    props, noms = tuple(sorted(s.props)), tuple(sorted(s.noms))
+    masks = tuple(sum(1 << i for i, c in enumerate(cells) if c in s.props[a]) for a in props)
+    return props, noms, (masks, tuple(cells.index(s.noms[v]) for v in noms))
+
+
+class TestEncodeOnce:
+    """Each state is encoded once, on first use, and every call reads it."""
+
+    def test_generated_states_encode_freshly(self):
+        rng = random.Random(0xE4C)
+        generators = (generate_traces_baseline, generate_traces_optimized, generate_traces_motion)
+        for _ in range(12):
+            g, props, noms, aset, max_len = random_exactness_instance(rng)
+            lowered = [desugar(lower(a), g) for a in aset.pruning_assumptions()]
+            for algorithm, generate in zip((Algorithm.BASELINE, Algorithm.OPTIMIZED, Algorithm.MOTION), generators):
+                seen = {}
+                for i, t in enumerate(generate(make_config(g, props, noms, aset, Top(), max_len, algorithm))):
+                    if i % 97 == 0:  # evaluation fills the slot it then reads
+                        p = g.position_at(rng.randrange(g.position_count))
+                        for f in lowered:
+                            assert evaluate(g, t, p, f) == evaluate_naive(g, t, p, f)
+                    for s in t.states:
+                        seen[id(s)] = s
+                for s in seen.values():
+                    assert s.encoded() == fresh_encoding(s, g)
+                    for v in s.noms:
+                        moved = s.with_nominal(v, g.position_at(rng.randrange(g.position_count)))
+                        assert moved.encoded() == fresh_encoding(moved, g)
+
+    def test_substituted_states_encode_freshly(self):
+        rng = random.Random(0x5B)
+        for _ in range(100):
+            g = make_grid(rng.randint(1, 3), rng.randint(1, 3))
+            t = random_trace(rng, g, ["h"], ["z0", "z1"], 4)
+            for s in t.states:
+                s.encoded()
+            v, p = rng.choice(["z0", "z1"]), g.position_at(rng.randrange(g.position_count))
+            out = substitute(t, v, p, rng.randrange(len(t)))
+            for s in out.states:
+                assert s.encoded() == fresh_encoding(s, g)
+
+    def test_equal_grid_that_is_another_object(self):
+        rng = random.Random(0x6D)
+        for _ in range(150):
+            g = make_grid(rng.randint(1, 3), rng.randint(1, 3))
+            other = make_grid(g.rows, g.cols)
+            assert other == g and other is not g
+            t = random_trace(rng, other, ["q"], ["z0", "z1"], 3)
+            f = random_core_formula(rng, ["q"], ["z0", "z1"], rng.randint(1, 10))
+            naive = frozenset(p for p in g.positions() if evaluate_naive(g, t, p, f))
+            assert frozenset(p for p in g.positions() if evaluate(g, t, p, f)) == naive
+            assert sat_points(g, t, f) == naive
+            assert all(s.encoded() == fresh_encoding(s, g) for s in t.states)
+
+    def test_unpickled_trace_evaluates_the_same(self):
+        rng = random.Random(0x9C)
+        for _ in range(100):
+            g = make_grid(rng.randint(1, 3), rng.randint(1, 3))
+            t = random_trace(rng, g, ["q"], ["z0", "z1"], 3)
+            f = random_core_formula(rng, ["q"], ["z0", "z1"], rng.randint(1, 10))
+            before = sat_points(g, t, f)
+            copy = pickle.loads(pickle.dumps(t))
+            assert copy == t and sat_points(g, copy, f) == before
+            assert all(evaluate(g, copy, p, f) == (p in before) for p in g.positions())
+
+
+class TestLongTraces:
+    """Until scans forward over time, so trace length never bounds the depth."""
+
+    @pytest.mark.parametrize("length", [500, 1000, 3000])
+    def test_until_past_the_recursion_limit(self, length):
+        g = make_grid(1, 1)
+        here = Position(1, 1)
+        gap = length - 2  # the one step where h does not hold
+        t = Trace([State(g, {"h": [] if k == gap else [here]}, {"z": here}) for k in range(length)])
+        cases = {
+            "G (z | Front z)": True,
+            "G (h | Front h)": False,
+            "F !h": True,
+            "h U (!h & X h)": True,
+            "G F h": True,
+            "F G !h": False,
+        }
+        for text, want in cases.items():
+            f = prepared(text, ["h"], ["z"], g)
+            assert evaluate(g, t, here, f) is want, text
+            assert sat_points(g, t, f) == (frozenset({here}) if want else frozenset()), text
 
 
 class TestSatPoints:
