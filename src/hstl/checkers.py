@@ -30,7 +30,7 @@ formulas with a nested G, which one state cannot decide (see
 the traces satisfying the other non-raw assumptions (checked at every
 start position), which the test suite verifies against the baseline
 stream by brute force.  :func:`unenforced_assumptions` names, per
-algorithm, the assumptions a checked formula must still carry.
+algorithm, the assumptions :func:`checked_formula` must still carry.
 
 Enumeration order is fully deterministic and documented.  Within one
 state, proposition assignments take the propositions in name order,
@@ -42,9 +42,10 @@ those two make one pass per length, shorter traces first.  Motion's
 successors vary the placements outermost and the assignments innermost,
 and its one pass yields each prefix before it is extended.
 
-:class:`CheckResult` progresses the specification along the stream
+:class:`CheckResult` progresses the checked formula along the stream
 (:class:`~hstl.evaluator.Progression`), from the longest prefix each
-trace shares with the previous one.
+trace shares with the previous one; every algorithm emits the same
+(trace, points) pairs.
 
 Every configuration passes :func:`make_config`, the one check of its
 names and motion roles.  Generators are lazy single-consumer streams;
@@ -57,14 +58,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import GridGraph, Position, State, Trace, apply_path
+from .core import Direction, GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
 from .evaluator import EncodedState, Progression, _check_symbols, compile_formula
-from .formula import Formula, desugar, is_core, validate_name
-from .idioms import Assumption, AssumptionSet, lower, validate
+from .formula import AllDir, And, Formula, Top, desugar, is_core, validate_name
+from .idioms import Assumption, AssumptionSet, Initial, lower, validate
 
 StopCheck = Callable[[], bool] | None
 
@@ -118,7 +119,7 @@ def make_config(
         _check_symbols(lower(a), props, noms)
     validate(assumptions)
     core_spec = spec if is_core(spec) else desugar(spec, grid)
-    compile_formula(core_spec, grid, props, noms)  # raises on undeclared symbols
+    _check_symbols(core_spec, props, noms)
     return CheckerConfig(grid, props, noms, assumptions, core_spec, max_len, algorithm)
 
 
@@ -203,8 +204,6 @@ class _Context:
                 self.next_cells.append(
                     _fixed_successor_table(grid, moves[name]) if name in moves else (every,) * self.P
                 )
-
-        self.spec_compiled = compile_formula(cfg.spec, grid, props, noms)
 
         self._decoded: dict[EncodedState, State] = {}
 
@@ -401,13 +400,41 @@ def unenforced_assumptions(aset: AssumptionSet, algorithm: Algorithm) -> tuple[A
     return nested + aset.static_cars + aset.fixed_motions + aset.relative_motions
 
 
+def conjoin(parts: Sequence[Formula]) -> Formula:
+    """``parts`` joined by left-nested ``And``; ``Top()`` when empty."""
+    return reduce(And, parts) if parts else Top()
+
+
+def checked_formula(cfg: CheckerConfig) -> Formula:
+    """The formula :class:`CheckResult` checks, desugared: the lowered
+    :func:`unenforced_assumptions`, every raw formula, then ``cfg.spec``.
+
+    Each conjunct left out holds at every cell of every trace the
+    generator yields, so ``A & S`` holds at a cell exactly when ``S``
+    does, and every algorithm emits the (trace, points) pairs of the full
+    conjunction.  An initial assumption ``A`` is filtered at every start
+    cell, so where its truth reads the start cell the conjunct is "``A``
+    at every cell": ``R & [Back] R & [Front] R`` with
+    ``R = A & [Left] A & [Right] A``."""
+    grid, parts = cfg.grid, []
+    for a in unenforced_assumptions(cfg.assumptions, cfg.algorithm):
+        f = desugar(lower(a), grid)
+        if isinstance(a, Initial) and compile_formula(f, grid, cfg.props, cfg.noms).tables()[0][0]:
+            row = And(And(f, AllDir(Direction.LEFT, None, f)), AllDir(Direction.RIGHT, None, f))
+            f = desugar(And(And(row, AllDir(Direction.BACK, None, row)), AllDir(Direction.FRONT, None, row)), grid)
+        parts.append(f)
+    parts += [desugar(a.formula, grid) for a in cfg.assumptions.raws]
+    return conjoin(parts + [cfg.spec])
+
+
 # ---------------------------------------------------------------------------
 # Satisfaction search
 # ---------------------------------------------------------------------------
 
 
 class CheckResult:
-    """Lazy stream of (trace, satisfying start cells) with live counters.
+    """Lazy stream of (trace, satisfying start cells of
+    :func:`checked_formula`) with live counters.
 
     Each trace is progressed from the prefix it shares with the previous
     one (one state under motion), with steps memoized for the life of the
@@ -424,6 +451,7 @@ class CheckResult:
         self.traces_satisfying = 0
         self.interrupted = False
         self._ctx = _Context(cfg)
+        self._compiled = compile_formula(checked_formula(cfg), cfg.grid, cfg.props, cfg.noms)
         self._stop = stop
         self._iter = self._run()
 
@@ -443,7 +471,7 @@ class CheckResult:
                     return True
                 return False
 
-        progression = Progression(ctx.spec_compiled)
+        progression = Progression(self._compiled)
         stack = [progression.initial]  # per prefix length of the previous trace, the vector after it
         previous: tuple[EncodedState, ...] = ()
         for enc_trace in _iter_encoded(ctx, stop):
@@ -466,7 +494,7 @@ class CheckResult:
 
 
 def sat_traces(cfg: CheckerConfig, stop: StopCheck = None) -> CheckResult:
-    """Run the configured generator and emit traces whose specification
+    """Run the configured generator and emit traces whose checked formula
     holds somewhere, paired with exactly those start positions."""
     return CheckResult(cfg, stop)
 

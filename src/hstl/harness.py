@@ -1,20 +1,9 @@
 """Timed scenario runs, result tables, and trace rendering.
 
 A run drives :func:`hstl.checkers.sat_traces` over one scenario with
-one algorithm under a wall-clock budget (monotonic clock).  The checked
-formula conjoins, in a fixed order (initial, global, static, fixed,
-relative, raw, then the specification), the lowered assumptions that
-the algorithm's generator does not enforce
-(:func:`hstl.checkers.unenforced_assumptions`), every raw assumption,
-and the scenario's specification formulas.  Baseline enforces none, so
-its formula is the full conjunction.  Each conjunct ``A`` that
-optimized or motion drops holds at every cell of every trace its
-generator yields, so ``A & S`` holds at a cell exactly when ``S`` does:
-the emitted (trace, points) pairs, and with them the satisfying-trace
-count, are those the full conjunction gives.
-
-On timeout a run stops cleanly between candidates and reports the
-progress counters marked as partial.
+one algorithm under a wall-clock budget (monotonic clock).  On timeout
+it stops cleanly between candidates and reports the progress counters
+marked as partial.
 """
 
 from __future__ import annotations
@@ -23,12 +12,11 @@ import csv
 import io
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .checkers import Algorithm, CheckerConfig, CheckResult, make_config, sat_traces, unenforced_assumptions
+from .checkers import Algorithm, CheckerConfig, CheckResult, conjoin, make_config, sat_traces
 from .core import GridGraph, Trace
-from .formula import And, Formula, Top, desugar
-from .idioms import lower
+from .formula import desugar
 from .laws import ValidityReport, validity_suite  # re-exported: part of this surface
 from .scenarios import Scenario, compile_assumption_set, parse_specification
 
@@ -64,36 +52,17 @@ class RunReport:
     max_len: int = 0
 
 
-def conjoin(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return Top()
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = And(acc, part)
-    return acc
-
-
 def build_config(
     scenario: Scenario, algorithm: Algorithm, max_len: int | None = None
 ) -> CheckerConfig:
-    """Compile a scenario into a checker configuration.
-
-    The specification handed to the checker is the conjunction described
-    in the module docstring, desugared against the grid: it leaves out
-    the conjuncts the generator already makes true at every cell, which
-    changes no emitted point set.
-    """
-    aset = compile_assumption_set(scenario)
-    spec_parts = [lower(a) for a in unenforced_assumptions(aset, algorithm)]
-    spec_parts += [a.formula for a in aset.raws]
-    spec_parts += list(parse_specification(scenario))
-    spec = desugar(conjoin(spec_parts), scenario.grid)
+    """Compile a scenario into a checker configuration whose specification
+    is the conjunction of the scenario's specification formulas."""
     return make_config(
         scenario.grid,
         scenario.propositions,
         scenario.nominals,
-        aset,
-        spec,
+        compile_assumption_set(scenario),
+        desugar(conjoin(parse_specification(scenario)), scenario.grid),
         scenario.max_trace_length if max_len is None else max_len,
         algorithm,
     )

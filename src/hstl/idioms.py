@@ -135,13 +135,13 @@ class FixedMotion:
 
 @dataclass(frozen=True)
 class Initial:
-    """A temporal-operator-free constraint on the first state.
+    """A temporal-operator-free constraint on the first state, which must
+    hold at every cell of it.
 
-    Generation filters it at every start cell, so write it anchored at a
-    nominal (``@v ...``) to make its truth start-cell-independent; an
-    unanchored constraint makes the optimized and motion generators
-    prune traces that the baseline algorithm, which checks it only at
-    each start cell, still counts.
+    The optimized and motion generators filter first states at every
+    cell, and baseline checks "``formula`` at every cell" where its truth
+    reads the start cell (see :func:`~hstl.checkers.checked_formula`).
+    Anchored at a nominal (``@v ...``), it reads no start cell.
     """
 
     formula: Formula

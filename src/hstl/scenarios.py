@@ -26,10 +26,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checkers import Algorithm, make_config
+from .checkers import Algorithm, conjoin, make_config
 from .core import Direction, GridGraph, make_grid, read_field, read_strings
 from .errors import ParseError, ValidationError
-from .formula import Formula, Top, parse
+from .formula import Formula, parse
 from .idioms import (
     Assumption,
     AssumptionSet,
@@ -127,13 +127,11 @@ def parse_specification(s: Scenario) -> tuple[Formula, ...]:
 
 
 def validate_scenario(s: Scenario) -> None:
-    """Parse everything and check names and roles through :func:`make_config`
-    (``parse`` has checked the specification's names; compiling it is
-    ``build_config``'s job, hence ``Top()``); errors name the scenario."""
+    """Parse everything and check names and roles through :func:`make_config`;
+    errors name the scenario."""
     try:
-        aset = compile_assumption_set(s)
-        parse_specification(s)
-        make_config(s.grid, s.propositions, s.nominals, aset, Top(), s.max_trace_length, Algorithm.BASELINE)
+        aset, spec = compile_assumption_set(s), conjoin(parse_specification(s))
+        make_config(s.grid, s.propositions, s.nominals, aset, spec, s.max_trace_length, Algorithm.BASELINE)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"scenario {s.name!r}: {exc}") from exc
 

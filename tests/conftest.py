@@ -147,10 +147,8 @@ def random_assumption_set(rng: random.Random, g: GridGraph, props, noms) -> Assu
             GlobalState(viewpoint, random_state_local_formula(rng, props, noms, budget=4))
         )
     if noms and rng.random() < 0.5:
-        # Anchored at a nominal so its truth is independent of the start
-        # cell, like every built-in start constraint; the generators
-        # filter initial constraints at every cell, so an unanchored one
-        # would prune more traces than the emission check accepts.
+        # Anchored at a nominal, like every built-in start constraint;
+        # test_checkers draws unanchored initials in a loop of its own.
         body = random_state_local_formula(rng, props, noms, budget=3)
         assumptions.append(Initial(At(rng.choice(noms), body)))
     if rng.random() < 0.4:

@@ -16,6 +16,8 @@ from conftest import (
 from hstl.checkers import (
     Algorithm,
     baseline_trace_count,
+    checked_formula,
+    conjoin,
     generate_traces_baseline,
     generate_traces_motion,
     generate_traces_optimized,
@@ -29,7 +31,6 @@ from hstl.core import DIRECTIONS, Direction, Position, State, Trace, make_grid
 from hstl.errors import ValidationError
 from hstl.evaluator import CompiledFormula, compile_formula, evaluate, evaluate_naive, sat_points
 from hstl.formula import And, At, Bind, Globally, Nom, Not, Or, Prop, Spatial, Top, desugar, parse
-from hstl.harness import conjoin
 from hstl.idioms import (
     AssumptionSet,
     FixedMotion,
@@ -445,8 +446,9 @@ class TestSatTraces:
             g, props, noms, aset, n = random_exactness_instance(rng)
             spec = random_core_formula(rng, props, noms, 6)
             cfg = cfg_of(g, props, noms, aset, min(n, 2), Algorithm.MOTION, spec=spec)
+            checked = checked_formula(cfg)
             for trace, points in sat_traces(cfg):
-                assert points == sat_points(g, trace, cfg.spec)
+                assert points == sat_points(g, trace, checked)
                 assert points  # only nonempty sets are emitted
 
     def test_unsatisfiable_spec_emits_nothing(self):
@@ -484,11 +486,7 @@ class TestSatTraces:
         rng = random.Random(4242)
         for _ in range(12):
             g, props, noms, aset, n = random_exactness_instance(rng)
-            raw_spec = random_core_formula(rng, props, noms, 5)
-            conjunction = raw_spec
-            for a in aset.assumptions:
-                conjunction = And(conjunction, lower(a))
-            spec = desugar(conjunction, g)
+            spec = random_core_formula(rng, props, noms, 5)
             emissions = {}
             for algorithm in Algorithm:
                 cfg = cfg_of(g, props, noms, aset, min(n, 2), algorithm, spec=spec)
@@ -509,9 +507,9 @@ GENERATORS = {
 def oracle_emissions(cfg):
     """The configured generator's stream filtered by ``evaluate_naive`` at
     every cell: what ``sat_traces`` must emit, in order."""
-    out = []
+    out, checked = [], checked_formula(cfg)
     for trace in GENERATORS[cfg.algorithm](cfg):
-        points = frozenset(p for p in cfg.grid.positions() if evaluate_naive(cfg.grid, trace, p, cfg.spec))
+        points = frozenset(p for p in cfg.grid.positions() if evaluate_naive(cfg.grid, trace, p, checked))
         if points:
             out.append((trace, points))
     return out
@@ -578,6 +576,57 @@ class TestProgression:
             assert 0 < result.traces_generated < total
             assert 0 < result.traces_satisfying == len(emitted) < len(full)
             assert emitted == full[: len(emitted)]
+
+
+class TestCheckedFormula:
+    """``make_config`` + ``sat_traces`` count the same under every algorithm:
+    the checker conjoins the assumptions its generator does not enforce."""
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_assumptions_are_checked_without_a_conjoined_spec(self, algorithm):
+        # Two cells, length 2, a Top spec: 6 traces before any assumption.
+        g = make_grid(2, 1)
+        raw = Raw(parse("@z !(Back 1)", set(), {"z"}))
+        for assumption, want in ((StaticCar("z"), 4), (raw, 3)):
+            cfg = cfg_of(g, [], ["z"], AssumptionSet([assumption]), 2, algorithm)
+            assert sum(1 for _ in sat_traces(cfg)) == want, assumption
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_unanchored_initial_holds_at_every_cell(self, algorithm):
+        # No first state has z0 at both cells, so nothing satisfies.
+        cfg = cfg_of(make_grid(2, 1), [], ["z0"], AssumptionSet([Initial(Nom("z0"))]), 2, algorithm)
+        result = sat_traces(cfg)
+        assert list(result) == []
+        assert result.traces_generated == (6 if algorithm is Algorithm.BASELINE else 0)
+
+    def test_anchored_initials_and_constants_are_conjoined_as_they_are(self):
+        g = make_grid(2, 1)
+        for body in (parse("@z0 !(Back 1)", set(), {"z0"}), Top(), Not(Top())):
+            cfg = cfg_of(g, [], ["z0"], AssumptionSet([Initial(body)]), 2, Algorithm.BASELINE)
+            assert checked_formula(cfg) == desugar(And(body, TOP), g)
+
+    def test_algorithms_agree_with_unanchored_initials(self):
+        # An implication between two random bodies holds at every cell
+        # often enough for the counts to be nonzero.
+        rng = random.Random(1515)
+        reads_start = reads_start_and_satisfied = 0
+        for _ in range(60):
+            g, props, noms, aset, n = random_exactness_instance(rng)
+            initial = Or(
+                Not(random_state_local_formula(rng, props, noms, budget=2)),
+                random_state_local_formula(rng, props, noms, budget=3),
+            )
+            aset = AssumptionSet(aset.assumptions + (Initial(initial),))
+            spec = random_core_formula(rng, props, noms, 5)
+            emissions = [
+                Counter(sat_traces(cfg_of(g, props, noms, aset, min(n, 2), algorithm, spec=spec)))
+                for algorithm in Algorithm
+            ]
+            assert emissions[0] == emissions[1] == emissions[2], (g, aset, spec)
+            if compile_formula(desugar(initial, g), g, tuple(props), tuple(noms)).tables()[0][0]:
+                reads_start += 1
+                reads_start_and_satisfied += bool(emissions[0])
+        assert reads_start >= 30 and reads_start_and_satisfied >= 8, (reads_start, reads_start_and_satisfied)
 
 
 class TestUnenforcedAssumptions:

@@ -4,11 +4,23 @@ import importlib.util
 from pathlib import Path
 
 from conftest import safe_follow_model
-from hstl.checkers import Algorithm
+from hstl.checkers import Algorithm, checked_formula, conjoin, unenforced_assumptions
 from hstl.core import Position, State, Trace, make_grid
-from hstl.formula import index_nodes, is_core
+from hstl.formula import desugar, index_nodes, is_core
 from hstl.harness import RunReport, build_config, emit_table, render_trace, run, validity_suite
-from hstl.scenarios import Scenario, ScenarioAssumption, left_right, one_lane_follow, platoon, same_name
+from hstl.idioms import lower
+from hstl.scenarios import (
+    Scenario,
+    ScenarioAssumption,
+    bench_suite,
+    builtin_scenarios,
+    compile_assumption_set,
+    left_right,
+    one_lane_follow,
+    parse_specification,
+    platoon,
+    same_name,
+)
 
 
 class TestRun:
@@ -152,8 +164,19 @@ class TestBuildConfig:
     def test_checked_spec_leaves_out_enforced_conjuncts(self):
         # Baseline checks the full conjunction; optimized drops the initial
         # and state-local global conjuncts, motion also the motion ones.
-        sizes = {a: len(index_nodes(build_config(platoon(2), a).spec)) for a in Algorithm}
+        sizes = {a: len(index_nodes(checked_formula(build_config(platoon(2), a)))) for a in Algorithm}
         assert sizes == {Algorithm.BASELINE: 108, Algorithm.OPTIMIZED: 90, Algorithm.MOTION: 58}
+
+    def test_checked_formula_is_the_scenario_conjunction(self):
+        # The unenforced assumptions, the raw formulas, then the
+        # specification formulas, left-nested in that order and desugared.
+        for scenario in builtin_scenarios() + list(bench_suite().values()):
+            aset = compile_assumption_set(scenario)
+            for algorithm in Algorithm:
+                parts = [lower(a) for a in unenforced_assumptions(aset, algorithm)]
+                parts += [a.formula for a in aset.raws] + list(parse_specification(scenario))
+                want = desugar(conjoin(parts), scenario.grid)
+                assert checked_formula(build_config(scenario, algorithm)) == want, (scenario.name, algorithm)
 
 
 class TestValiditySurface:
