@@ -3,9 +3,12 @@
 Three routes are provided on purpose and kept independent:
 
 * :func:`evaluate` — the per-call path.  Formulas are compiled to flat
-  integer arrays; each state is encoded once, to bitmask/tuple form, on
-  first use (:meth:`hstl.core.State.encoded`) and every later call reads
-  that encoding.  Results are memoized on ``(timestep, occurrence id,
+  integer arrays, cached on the formula object rather than its value
+  (:func:`compile_formula`), so a caller that evaluates one formula many
+  times desugars it once and passes the same object to every call.  Each
+  state is encoded once, to bitmask/tuple form, on first use
+  (:meth:`hstl.core.State.encoded`) and every later call reads that
+  encoding.  Results are memoized on ``(timestep, occurrence id,
   viewpoint cell)``: the target of an ``@`` jump is read at the current
   timestep, so a node below an ``@`` inside an until can be reached at
   one (timestep, occurrence) with several viewpoints.  An until scans
@@ -33,9 +36,10 @@ shared table.
 from __future__ import annotations
 
 import functools
+import threading
 from operator import itemgetter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     DIRECTIONS,
@@ -298,13 +302,52 @@ class CompiledFormula:
         return self._run(states, memo, lambda holds: all(map(holds, starts)))
 
 
-@functools.lru_cache(maxsize=4096)
+class CacheInfo(NamedTuple):
+    misses: int  # compiles since the last clear
+    maxsize: int
+    currsize: int
+
+
+_COMPILE_CACHE_SIZE = 4096
+_compiled: dict[tuple, tuple[Formula, CompiledFormula]] = {}  # (id(f), g, props, noms) -> (f, compiled)
+_compile_misses = 0
+_compile_lock = threading.Lock()
+
+
 def compile_formula(
     f: Formula, g: GridGraph, props: tuple[str, ...], noms: tuple[str, ...]
 ) -> CompiledFormula:
     """Compile (cached) over the declared names; raises on undeclared free
-    symbols.  Binder-only nominals need no declaration."""
-    return CompiledFormula(f, g, props, noms)
+    symbols.  Binder-only nominals need no declaration.
+
+    The cache is keyed on the formula object, not its value, so a caller
+    that evaluates one formula many times desugars it once and passes the
+    same object; no formula tree is hashed or compared.  An entry holds
+    its formula, so that ``id`` is not reused while the entry lives; when
+    the cache is full the oldest entry is dropped."""
+    global _compile_misses
+    key = (id(f), g, props, noms)
+    hit = _compiled.get(key)
+    if hit is not None and hit[0] is f:
+        return hit[1]
+    with _compile_lock:
+        _compile_misses += 1
+        compiled = CompiledFormula(f, g, props, noms)
+        if len(_compiled) >= _COMPILE_CACHE_SIZE:
+            del _compiled[next(iter(_compiled))]
+        _compiled[key] = (f, compiled)
+    return compiled
+
+
+def _compile_cache_clear() -> None:
+    global _compile_misses
+    with _compile_lock:
+        _compiled.clear()
+        _compile_misses = 0
+
+
+compile_formula.cache_clear = _compile_cache_clear
+compile_formula.cache_info = lambda: CacheInfo(_compile_misses, _COMPILE_CACHE_SIZE, len(_compiled))
 
 
 class Progression:

@@ -216,23 +216,22 @@ def symbols(f: Formula) -> SymbolUsage:
     props: set[str] = set()
     free: set[str] = set()
     bound: set[str] = set()
-
-    def walk(node: Formula, scope: frozenset[str]) -> None:
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:  # iterative, so deep trees need no deep recursion
+        node, scope = stack.pop()
         if isinstance(node, Prop):
             props.add(node.name)
         elif isinstance(node, Nom):
             (free if node.name not in scope else bound).add(node.name)
         elif isinstance(node, At):
             (free if node.nominal not in scope else bound).add(node.nominal)
-            walk(node.child, scope)
+            stack.append((node.child, scope))
         elif isinstance(node, Bind):
             bound.add(node.nominal)
-            walk(node.child, scope | {node.nominal})
+            stack.append((node.child, scope | {node.nominal}))
         else:
             for c in children(node):
-                walk(c, scope)
-
-    walk(f, frozenset())
+                stack.append((c, scope))
     return SymbolUsage(frozenset(props), frozenset(free), frozenset(bound))
 
 

@@ -18,7 +18,8 @@ from hstl.checkers import Algorithm, generate_traces_baseline, generate_traces_m
 from hstl.core import Direction, Position, State, Trace, make_grid, substitute
 from hstl.idioms import lower
 from hstl.errors import ValidationError
-from hstl.evaluator import CompiledFormula, EvalStats, evaluate, evaluate_naive, sat_points
+from hstl import evaluator
+from hstl.evaluator import CompiledFormula, EvalStats, compile_formula, evaluate, evaluate_naive, sat_points
 from hstl.formula import And, At, Bind, Nom, Prop, Top, desugar, index_nodes, parse
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
@@ -307,6 +308,68 @@ class TestLongTraces:
             f = prepared(text, ["h"], ["z"], g)
             assert evaluate(g, t, here, f) is want, text
             assert sat_points(g, t, f) == (frozenset({here}) if want else frozenset()), text
+
+
+class TestCompileCache:
+    """The compile cache is keyed on the formula object, never its value."""
+
+    def test_deep_formula_is_never_hashed(self):
+        # Hashing this tree recurses once per node and overflows; keying
+        # on the object leaves the depth to the evaluator.
+        g = make_grid(150, 1)
+        f = prepared("[Front] h", ["h"], [], g)
+        t = Trace([State(g, {"h": list(g.positions())}, {})])
+        assert evaluate(g, t, Position(1, 1), f)
+        assert sat_points(g, t, f) == frozenset(g.positions())
+
+    def test_equal_formulas_that_are_other_objects(self):
+        rng = random.Random(0x1D)
+        for _ in range(100):
+            g = make_grid(rng.randint(1, 3), rng.randint(1, 3))
+            t = random_trace(rng, g, ["q"], ["z0", "z1"], 3)
+            f = random_core_formula(rng, ["q"], ["z0", "z1"], rng.randint(1, 10))
+            twin = pickle.loads(pickle.dumps(f))
+            assert twin == f and twin is not f
+            assert sat_points(g, t, twin) == sat_points(g, t, f)
+            assert all(evaluate(g, t, p, twin) == evaluate(g, t, p, f) for p in g.positions())
+
+    def test_rebuilt_formulas_never_reuse_a_stale_compile(self, monkeypatch):
+        # A small cache evicts constantly, so a dropped formula's id is
+        # soon handed to a new, different formula.
+        monkeypatch.setattr(evaluator, "_COMPILE_CACHE_SIZE", 4)
+        compile_formula.cache_clear()
+        rng = random.Random(0x1E)
+        g = make_grid(2, 2)
+        ids = set()
+        for _ in range(300):
+            t = random_trace(rng, g, ["q"], ["z0", "z1"], 3)
+            f = random_core_formula(rng, ["q"], ["z0", "z1"], rng.randint(1, 10))
+            ids.add(id(f))
+            for p in g.positions():
+                assert evaluate(g, t, p, f) == evaluate_naive(g, t, p, f)
+            assert compile_formula.cache_info().currsize <= 4
+            del f
+        assert len(ids) < 300  # ids were reused
+
+    def test_clear_empties_and_misses_count_compiles(self):
+        g = make_grid(2, 2)
+        t = Trace([State(g, {"h": [Position(1, 1)]}, {"z": Position(2, 1)})])
+        f = prepared("h | @z Front h", ["h"], ["z"], g)
+
+        def counts():
+            info = compile_formula.cache_info()
+            return info.misses, info.currsize
+
+        compile_formula.cache_clear()
+        assert counts() == (0, 0)
+        for p in g.positions():
+            evaluate(g, t, p, f)
+        sat_points(g, t, f)
+        assert counts() == (1, 1)
+        evaluate(g, t, Position(1, 1), prepared("h | @z Front h", ["h"], ["z"], g))
+        assert counts() == (2, 2)
+        compile_formula.cache_clear()
+        assert counts() == (0, 0)
 
 
 class TestSatPoints:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hstl.checkers import Algorithm, make_config
 from hstl.core import Direction, State, Trace, apply_path, make_grid
 from hstl.errors import ParseError, ValidationError
 from hstl.evaluator import evaluate
@@ -34,6 +35,7 @@ from hstl.formula import (
     size,
     symbols,
 )
+from hstl.idioms import AssumptionSet
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
 
@@ -311,3 +313,12 @@ class TestSymbols:
         assert usage.props == frozenset({"h"})
         assert usage.noms == frozenset({"z0", "z1"})
         assert usage.bound == frozenset({"z2"})
+
+    def test_deep_formula_past_the_recursion_limit(self):
+        # symbols walks its own stack, so make_config accepts a bounded
+        # box as deep as a long road makes it.
+        g = make_grid(400, 1)
+        f = desugar(parse("[Front] h", PROPS, NOMS), g)
+        assert symbols(f) == symbols(Prop("h"))
+        cfg = make_config(g, ["h"], [], AssumptionSet(), f, 1, Algorithm.BASELINE)
+        assert cfg.spec is f

@@ -7,9 +7,12 @@ Each directory is a clean export of one commit (``git archive REV | tar
 -x -C DIR``).  For every workload and seed, ``perfbench/run.py`` runs
 once in each directory, one run at a time; the side that runs first
 alternates with the seed.  Then one ``--trace 1`` run per side, on the
-trace seed, gives the per-layer metrics.  The output holds every run's
+trace seed, gives the per-layer metrics.  ``--workloads`` runs a subset
+(comma-separated; all three by default).  The output holds every run's
 end-to-end metrics and, per metric, the medians and quartiles of both
 sides, the parent's quartile spread and how many seeds the change won.
+A run that is not correct or has a failed item is listed under
+``flagged`` and on stderr, and the tool then exits 1.
 """
 
 import argparse
@@ -62,26 +65,37 @@ def main() -> int:
     parser.add_argument("--trace-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated subset")
     args = parser.parse_args()
+    workloads = args.workloads.split(",")
+    unknown = sorted(set(workloads).difference(WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; choose from {list(WORKLOADS)}")
     first, last = map(int, args.seeds.split("-"))
     seeds = list(range(first, last + 1))
+    if len(seeds) < 2:
+        parser.error("--seeds needs at least two seeds, for quartiles")
     sides = {"parent": args.parent, "change": args.change}
     doc = {"command": " ".join(["python3", "tools/bench_pairs.py"] + sys.argv[1:]), "seeds": seeds}
-    doc.update(workloads={}, traced={})
-    for workload in WORKLOADS:
+    doc.update(workloads={}, traced={}, flagged=[])
+    for workload in workloads:
         runs = []
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs.append(dict(side=side, seed=seed, **run(sides[side], workload, seed, args.seconds, 0)))
                 print(workload, runs[-1], file=sys.stderr)
         doc["workloads"][workload] = {"metrics": summarize(runs, seeds), "runs": runs}
-        doc["traced"][workload] = {
-            side: run(path, workload, args.trace_seed, args.seconds, 1) for side, path in sides.items()
-        }
+        traced = {side: run(path, workload, args.trace_seed, args.seconds, 1) for side, path in sides.items()}
+        doc["traced"][workload] = traced
+        for r in runs + [dict(side=side, seed=args.trace_seed, trace=1, **r) for side, r in traced.items()]:
+            if not r["correct"] or r["failed"] > 0:
+                flag = dict(workload=workload, side=r["side"], seed=r["seed"], trace=r.get("trace", 0))
+                doc["flagged"].append(dict(flag, correct=r["correct"], failed=r["failed"]))
+                print("FLAGGED", doc["flagged"][-1], file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 0
+    return 1 if doc["flagged"] else 0
 
 
 if __name__ == "__main__":
