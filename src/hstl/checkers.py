@@ -42,10 +42,13 @@ those two make one pass per length, shorter traces first.  Motion's
 successors vary the placements outermost and the assignments innermost,
 and its one pass yields each prefix before it is extended.
 
-:class:`CheckResult` progresses the checked formula along the stream
-(:class:`~hstl.evaluator.Progression`), from the longest prefix each
-trace shares with the previous one; every algorithm emits the same
-(trace, points) pairs.
+The walk yields each trace with the number of leading states it shares
+with the previous one.  :class:`CheckResult` progresses the checked
+formula along the stream (:class:`~hstl.evaluator.Progression`) from
+that prefix, and :meth:`_Context.decode_trace` reuses the states of the
+last trace it decoded up to the prefix they share, so it decodes only
+the states past it: one per trace under motion.  Every algorithm emits
+the same (trace, points) pairs.
 
 Every configuration passes :func:`make_config`, the one check of its
 names and motion roles.  Generators are lazy single-consumer streams;
@@ -250,8 +253,15 @@ class _Context:
             self._decoded[enc] = cached
         return cached
 
-    def decode_trace(self, enc_trace: Sequence[EncodedState]) -> Trace:
-        return Trace([self.decode(s) for s in enc_trace])
+    _last: tuple[State, ...] = ()  # the states of the trace decoded last
+
+    def decode_trace(self, enc_trace: Sequence[EncodedState], shared: int) -> Trace:
+        """The trace of ``enc_trace``, whose first ``shared`` states are
+        those of the trace this context decoded last: they are reused, and
+        only the rest are decoded."""
+        states = self._last[:shared] + tuple(map(self.decode, enc_trace[shared:]))
+        self._last = states
+        return Trace._trusted(states)
 
     # -- state enumeration --------------------------------------------------------
 
@@ -336,34 +346,44 @@ def baseline_trace_count(g: GridGraph, n_props: int, n_noms: int, max_len: int) 
 # ---------------------------------------------------------------------------
 
 
-def _iter_encoded(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[EncodedState, ...]]:
+def _iter_encoded(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[tuple[EncodedState, ...], int]]:
     """The one walk: depth-first over :meth:`_Context.successors` from the
     first states, on an explicit stack.  Motion makes one pass to
     ``max_len`` and yields each prefix before its extensions; the others
-    make one pass per length and yield the traces of that length only."""
+    make one pass per length and yield the traces of that length only.
+
+    Each yield is ``(trace, shared)``: the first ``shared`` states of
+    ``trace`` are those of the previous yield.  Between two yields the
+    walk pops and then pushes, so ``shared`` is the trace's length after
+    the last pop: ``len(trace) - 1`` under motion, and 0 at the first
+    yield of each pass."""
     n = ctx.cfg.max_len
     every_prefix = ctx.cfg.algorithm is Algorithm.MOTION
     for k in (n,) if every_prefix else range(1, n + 1):
         trace: list[EncodedState] = []
+        shared = 0
         stack = [filter(ctx.passes_initial, ctx.successors(None, stop))]  # per position, its states left
         while stack:
             for state in stack[-1]:
                 trace.append(state)
                 if every_prefix or len(trace) == k:
-                    yield tuple(trace)
+                    yield tuple(trace), shared
+                    shared = len(trace)
                 if len(trace) < k:
                     stack.append(iter(ctx.successors(state, stop)))
                     break
                 trace.pop()
+                shared = len(trace)
             else:
                 stack.pop()
                 if trace:
                     trace.pop()
+                    shared = len(trace)
 
 
 def _traces(cfg: CheckerConfig) -> Iterator[Trace]:
     ctx = _Context(cfg)
-    return (ctx.decode_trace(enc_trace) for enc_trace in _iter_encoded(ctx))
+    return (ctx.decode_trace(enc_trace, shared) for enc_trace, shared in _iter_encoded(ctx))
 
 
 def generate_traces_baseline(cfg: CheckerConfig) -> Iterator[Trace]:
@@ -436,10 +456,13 @@ class CheckResult:
     """Lazy stream of (trace, satisfying start cells of
     :func:`checked_formula`) with live counters.
 
-    Each trace is progressed from the prefix it shares with the previous
-    one (one state under motion), with steps memoized for the life of the
-    result.  ``traces_generated`` counts every candidate the generator
-    yielded (prefixes included); ``traces_satisfying`` counts emissions.
+    Each trace is progressed from the prefix the walk reports it shares
+    with the previous one (one new state under motion), with steps
+    memoized for the life of the result.  A satisfying trace is decoded
+    past the prefix it shares with the last one emitted: the smallest
+    shared prefix reported since then.  ``traces_generated`` counts
+    every candidate the generator yielded (prefixes included);
+    ``traces_satisfying`` counts emissions.
     Both are valid snapshots at any point during consumption and final
     once the stream is exhausted.  ``interrupted`` is set when a stop
     check cut the run short.
@@ -473,24 +496,21 @@ class CheckResult:
 
         progression = Progression(self._compiled)
         stack = [progression.initial]  # per prefix length of the previous trace, the vector after it
-        previous: tuple[EncodedState, ...] = ()
-        for enc_trace in _iter_encoded(ctx, stop):
+        decoded = 0  # leading states shared with the last trace decoded
+        for enc_trace, shared in _iter_encoded(ctx, stop):
             if stop is not None and stop():
                 return
             self.traces_generated += 1
-            shared = 0
-            for before, state in zip(previous, enc_trace):
-                if before != state:
-                    break
-                shared += 1
             del stack[shared + 1 :]
             for state in enc_trace[shared:]:
                 stack.append(progression.step(stack[-1], state))
-            previous = enc_trace
+            if shared < decoded:
+                decoded = shared
             points = progression.accepted[stack[-1]]
             if points:
                 self.traces_satisfying += 1
-                yield ctx.decode_trace(enc_trace), points
+                yield ctx.decode_trace(enc_trace, decoded), points
+                decoded = len(enc_trace)
 
 
 def sat_traces(cfg: CheckerConfig, stop: StopCheck = None) -> CheckResult:

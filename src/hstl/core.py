@@ -234,7 +234,13 @@ class State:
 
 
 class Trace:
-    """A nonempty finite sequence of states over one grid and symbol set."""
+    """A nonempty finite sequence of states over one grid and symbol set.
+
+    The hash is ``hash(states)``, computed on the first ``__hash__`` call
+    and kept.  :meth:`_trusted` builds a trace without the checks, for
+    states known to share one grid and symbol set: those of the decoder
+    and of :func:`suffix` and :func:`substitute`.
+    """
 
     __slots__ = ("states", "grid", "_hash")
 
@@ -253,7 +259,15 @@ class Trace:
                 raise ValidationError("all states in a trace must declare the same symbols")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_hash", hash(states))
+
+    @classmethod
+    def _trusted(cls, states: tuple[State, ...]) -> "Trace":
+        """The trace of ``states``, a nonempty tuple over one grid and
+        symbol set, unchecked."""
+        t = object.__new__(cls)
+        _set_states(t, states)
+        _set_grid(t, states[0].grid)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Trace is immutable")
@@ -268,7 +282,12 @@ class Trace:
         return isinstance(other, Trace) and self.states == other.states
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.states)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def prop_names(self) -> tuple[str, ...]:
@@ -282,6 +301,9 @@ class Trace:
         return f"Trace({list(self.states)!r})"
 
 
+_set_states, _set_grid = Trace.states.__set__, Trace.grid.__set__  # the slots, past the immutability guard
+
+
 def suffix(t: Trace, k: int) -> Trace:
     """The suffix starting at index ``k``; raises when k >= len(t)."""
     if k < 0:
@@ -290,7 +312,7 @@ def suffix(t: Trace, k: int) -> Trace:
         raise SuffixUndefinedError(f"suffix {k} of a length-{len(t)} trace is undefined")
     if k == 0:
         return t
-    return Trace(t.states[k:])
+    return Trace._trusted(t.states[k:])
 
 
 def substitute(t: Trace, v: str, p: Position, from_k: int = 0) -> Trace:
@@ -306,7 +328,7 @@ def substitute(t: Trace, v: str, p: Position, from_k: int = 0) -> Trace:
         raise ValidationError(f"substitution start {from_k} out of range for length {len(t)}")
     head = t.states[:from_k]
     tail = tuple(s.with_nominal(v, p) for s in t.states[from_k:])
-    return Trace(head + tail)
+    return Trace._trusted(head + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Trace generation: counts, orders, exactness against brute force, bounds."""
 
+import copy
 import itertools
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -15,6 +17,8 @@ from conftest import (
 )
 from hstl.checkers import (
     Algorithm,
+    _Context,
+    _iter_encoded,
     baseline_trace_count,
     checked_formula,
     conjoin,
@@ -41,7 +45,9 @@ from hstl.idioms import (
     StaticCar,
     lower,
 )
+from hstl.harness import build_config
 from hstl.scenarios import compile_assumption_set, passing, platoon
+from test_acceptance import GATED_SCENARIOS
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
 
@@ -576,6 +582,119 @@ class TestProgression:
             assert 0 < result.traces_generated < total
             assert 0 < result.traces_satisfying == len(emitted) < len(full)
             assert emitted == full[: len(emitted)]
+
+
+def reference_decode(cfg, enc_trace) -> Trace:
+    """The trace of ``enc_trace``, each state built and checked from its
+    encoding alone."""
+    g = cfg.grid
+
+    def cells_of(mask):
+        return [g.position_at(i) for i in range(g.position_count) if mask >> i & 1]
+
+    return Trace(
+        [
+            State(g, dict(zip(cfg.props, map(cells_of, masks))), {v: g.position_at(c) for v, c in zip(cfg.noms, cells)})
+            for masks, cells in enc_trace
+        ]
+    )
+
+
+GATED = tuple(factory(*args) for factory, args, _ in GATED_SCENARIOS)
+
+
+class TestSharedPrefix:
+    """The walk yields each trace with the number of leading states it
+    shares with the previous yield; progression and decoding start there."""
+
+    @staticmethod
+    def check_walk(cfg, limit=20_000):
+        previous = ()
+        for trace, shared in itertools.islice(_iter_encoded(_Context(cfg)), limit):
+            common = next(
+                (i for i, (a, b) in enumerate(zip(previous, trace)) if a != b), min(len(previous), len(trace))
+            )
+            assert trace[:shared] == previous[:shared]
+            if cfg.algorithm is Algorithm.MOTION:
+                assert shared == len(trace) - 1 == common
+            elif len(trace) != len(previous):  # the first yield of a length pass
+                assert shared == 0
+            else:
+                assert shared == common
+            previous = trace
+
+    @pytest.mark.parametrize("scenario", GATED, ids=lambda s: s.name)
+    def test_gated_scenarios(self, scenario):
+        # Baseline and optimized stop at length 2, so the walk crosses a
+        # pass within the limit.
+        for algorithm in Algorithm:
+            n = scenario.max_trace_length if algorithm is Algorithm.MOTION else min(scenario.max_trace_length, 2)
+            self.check_walk(build_config(scenario, algorithm, n))
+
+    def test_random_models(self):
+        rng = random.Random(0x5A7)
+        for _ in range(12):
+            g, props, noms, aset, n = random_exactness_instance(rng)
+            for algorithm in Algorithm:
+                self.check_walk(cfg_of(g, props, noms, aset, n, algorithm))
+
+    def test_decoded_traces_match_a_fresh_decoding(self):
+        # A satisfying trace is decoded from the prefix it shares with the
+        # last one emitted, which unsatisfying traces in between may cut.
+        rng = random.Random(0x5A8)
+        for _ in range(12):
+            g, props, noms, aset, n = random_exactness_instance(rng)
+            spec = random_core_formula(rng, props, noms, rng.randint(3, 8))
+            for algorithm in Algorithm:
+                cfg = cfg_of(g, props, noms, aset, min(n, 2), algorithm, spec=spec)
+                fresh = [reference_decode(cfg, enc) for enc, _ in _iter_encoded(_Context(cfg))]
+                assert list(GENERATORS[algorithm](cfg)) == fresh
+                checked = checked_formula(cfg)
+                expected = [(t, points) for t in fresh if (points := sat_points(g, t, checked))]
+                assert list(sat_traces(cfg)) == expected, (g, aset, spec, algorithm)
+
+    @pytest.mark.parametrize("scenario", GATED, ids=lambda s: s.name)
+    def test_gated_emissions_match_a_fresh_decoding(self, scenario):
+        cfg = build_config(scenario, Algorithm.MOTION)
+        checked = checked_formula(cfg)
+        fresh = (reference_decode(cfg, enc) for enc, _ in _iter_encoded(_Context(cfg)))
+        expected = [(t, points) for t in fresh if (points := sat_points(cfg.grid, t, checked))]
+        assert list(sat_traces(cfg)) == expected
+
+
+class TestDecodedTraces:
+    """The decoder builds traces without re-checking their states; they
+    must behave exactly like checked ones."""
+
+    @staticmethod
+    def decoded(algorithm=Algorithm.MOTION):
+        g = make_grid(2, 1)
+        cfg = cfg_of(g, ["h"], ["z0", "z1"], AssumptionSet([StaticCar("z1")]), 3, algorithm)
+        return list(GENERATORS[algorithm](cfg))
+
+    def test_equal_to_checked_traces(self):
+        for algorithm in Algorithm:
+            for t in self.decoded(algorithm):
+                checked = Trace(list(t.states))
+                assert t == checked and hash(t) == hash(checked) == hash(t.states)
+                assert repr(t) == repr(checked)
+                assert t.grid == checked.grid and t.prop_names == ("h",) and t.nominal_names == ("z0", "z1")
+
+    def test_hash_survives_pickle_and_deepcopy(self):
+        for t in self.decoded()[::7]:
+            for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+                before = clone(t)  # copied before the hash is computed
+                assert before == t and hash(before) == hash(t)
+                after = clone(t)  # copied once it is kept
+                assert after == t and hash(after) == hash(t)
+
+    def test_sets_mix_checked_and_decoded_traces(self):
+        decoded = self.decoded()
+        checked = [Trace(list(t.states)) for t in decoded]
+        assert len(set(decoded)) == len(decoded)
+        assert set(decoded) == set(checked) == set(decoded[::2] + checked[1::2])
+        assert all(c in set(decoded) for c in checked)
+        assert Counter(decoded + checked) == Counter({t: 2 for t in decoded})
 
 
 class TestCheckedFormula:

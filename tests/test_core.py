@@ -154,6 +154,20 @@ class TestStateAndTrace:
         with pytest.raises(ValidationError):
             substitute(t, "y", Position(1, 1), 0)
 
+    def test_suffix_and_substitute_equal_checked_traces(self):
+        # Both build their result unchecked from the states of a valid trace.
+        g = make_grid(2, 2)
+        rng = random.Random(5)
+        for _ in range(20):
+            t = random_trace(rng, g, ["h"], ["y", "z"], 4)
+            for k in range(len(t)):
+                for out in (suffix(t, k), substitute(t, "z", Position(2, 1), k)):
+                    checked = Trace(list(out.states))
+                    assert out == checked and hash(out) == hash(checked) == hash(out.states)
+                    assert repr(out) == repr(checked) and out.grid == g
+        with pytest.raises(ValidationError):
+            substitute(t, "z", Position(3, 1), 0)
+
     def test_pickle_and_deepcopy_round_trip(self):
         g = make_grid(1, 1)
         s = State(g, {"h": [Position(1, 1)]}, {"z": Position(1, 1)})

@@ -10,19 +10,33 @@ alternates with the seed.  Then one ``--trace 1`` run per side, on the
 trace seed, gives the per-layer metrics.  ``--workloads`` runs a subset
 (comma-separated; all three by default).  The output holds every run's
 end-to-end metrics and, per metric, the medians and quartiles of both
-sides, the parent's quartile spread and how many seeds the change won.
+sides, the parent's quartile spread, how many seeds the change won and
+a verdict.  A table of the verdicts, one per workload, goes to stdout.
+
+The verdict reads the bounds of the parent's ``BENCHMARK.json``:
+
+* ``gain``: the change won at least nine tenths of the pairs (ties count
+  for neither side) and its median is better by more than the parent's
+  quartile spread;
+* ``over bound``: the change's median is worse than the parent's by more
+  than the metric's bound;
+* ``unresolved``: the parent's quartile spread exceeds the bound, and not
+  every change run beats every parent run;
+* ``within bound`` otherwise.
+
 A run that is not correct or has a failed item is listed under
-``flagged`` and on stderr, and the tool then exits 1.
+``flagged``, and a metric over its bound under ``over_bound``; either
+goes to stderr as well, and the tool then exits 1.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 
 WORKLOADS = ("check-motion", "enumerate-motion", "oneshot-eval")
-END_TO_END = {"wall_s": "lower", "setup_s": "lower", "traces_per_s": "higher", "peak_rss_mb": "lower"}
 
 
 def run(directory: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -39,22 +53,65 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], seeds: list[int]) -> dict:
+def end_to_end(directory: str) -> dict:
+    """The end-to-end metrics of a checkout's ``BENCHMARK.json``: name -> its entry."""
+    with open(os.path.join(directory, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], p: dict, c: dict, wins: int, better: str, bound: float) -> str:
+    """The verdict on one metric; see the module docstring."""
+    sign = 1 if better == "lower" else -1
+    gain = sign * (p["median"] - c["median"])  # > 0 when the change is better
+    if wins >= 0.9 * len(parent) and gain > p["q3"] - p["q1"]:
+        return "gain"
+    if -gain > bound * abs(p["median"]):
+        return "over bound"
+    if p["q3"] - p["q1"] > bound * abs(p["median"]) and max(sign * x for x in change) >= min(sign * x for x in parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list[dict], seeds: list[int], metrics: dict) -> dict:
     by = {(r["side"], r["seed"]): r for r in runs}
     out = {}
-    for name, better in END_TO_END.items():
+    for name, m in metrics.items():
         parent = [by["parent", s][name] for s in seeds]
         change = [by["change", s][name] for s in seeds]
         p, c = quartiles(parent), quartiles(change)
-        wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(parent, change))
+        wins = sum((b < a) if m["better"] == "lower" else (b > a) for a, b in zip(parent, change))
         out[name] = {
             "parent": p,
             "change": c,
             "change_minus_parent_over_parent_median": round((c["median"] - p["median"]) / p["median"], 4),
             "parent_iqr": p["q3"] - p["q1"],
             "change_wins": f"{wins}/{len(seeds)}",
+            "bound": m["bound"],
+            "verdict": verdict(parent, change, p, c, wins, m["better"], m["bound"]),
         }
     return out
+
+
+def print_table(workload: str, summary: dict) -> None:
+    print(f"{workload}:")
+    head = ("metric", "parent median [q1, q3]", "change median", "change", "parent IQR", "wins", "verdict")
+    rows = [head]
+    for name, s in summary.items():
+        p = s["parent"]
+        rows.append(
+            (
+                name,
+                f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]",
+                f"{s['change']['median']:.4g}",
+                f"{s['change_minus_parent_over_parent_median']:+.1%}",
+                f"{s['parent_iqr']:.3g}",
+                s["change_wins"],
+                s["verdict"] + (f" (bound {s['bound']:.0%})" if s["verdict"] == "over bound" else ""),
+            )
+        )
+    widths = [max(len(r[i]) for r in rows) for i in range(len(head))]
+    for r in rows:
+        print("  " + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
 
 def main() -> int:
@@ -76,15 +133,21 @@ def main() -> int:
     if len(seeds) < 2:
         parser.error("--seeds needs at least two seeds, for quartiles")
     sides = {"parent": args.parent, "change": args.change}
+    metrics = end_to_end(args.parent)
     doc = {"command": " ".join(["python3", "tools/bench_pairs.py"] + sys.argv[1:]), "seeds": seeds}
-    doc.update(workloads={}, traced={}, flagged=[])
+    doc.update(workloads={}, traced={}, flagged=[], over_bound=[])
     for workload in workloads:
         runs = []
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs.append(dict(side=side, seed=seed, **run(sides[side], workload, seed, args.seconds, 0)))
                 print(workload, runs[-1], file=sys.stderr)
-        doc["workloads"][workload] = {"metrics": summarize(runs, seeds), "runs": runs}
+        summary = summarize(runs, seeds, metrics)
+        doc["workloads"][workload] = {"metrics": summary, "runs": runs}
+        for name, s in summary.items():
+            if s["verdict"] == "over bound":
+                doc["over_bound"].append(dict(workload=workload, metric=name))
+                print("OVER BOUND", doc["over_bound"][-1], file=sys.stderr)
         traced = {side: run(path, workload, args.trace_seed, args.seconds, 1) for side, path in sides.items()}
         doc["traced"][workload] = traced
         for r in runs + [dict(side=side, seed=args.trace_seed, trace=1, **r) for side, r in traced.items()]:
@@ -95,7 +158,9 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 1 if doc["flagged"] else 0
+    for workload in workloads:
+        print_table(workload, doc["workloads"][workload]["metrics"])
+    return 1 if doc["flagged"] or doc["over_bound"] else 0
 
 
 if __name__ == "__main__":
