@@ -24,7 +24,6 @@ from .checkers import (
     make_config,
     sat_traces,
     state_count,
-    trace_count_bound,
 )
 from .core import (
     Direction,
@@ -42,7 +41,7 @@ from .core import (
 )
 from .errors import HstlError, ParseError, SuffixUndefinedError, ValidationError
 from .evaluator import EvalStats, evaluate, evaluate_naive, sat_points
-from .formula import Formula, NodeTable, desugar, index_nodes, parse, render, symbols
+from .formula import Formula, desugar, index_nodes, parse, render, symbols
 from .harness import RunReport, build_config, emit_table, render_trace, run, validity_suite
 from .idioms import (
     Assumption,

@@ -518,18 +518,3 @@ def sat_traces(cfg: CheckerConfig, stop: StopCheck = None) -> CheckResult:
     holds somewhere, paired with exactly those start positions."""
     return CheckResult(cfg, stop)
 
-
-def trace_count_bound(cfg: CheckerConfig) -> int:
-    """Upper bound on the motion generator's yield count.
-
-    s * sum over k < max_len of (A * prod of per-slot branching)^k, where
-    s counts the admissible initial states, A every proposition
-    assignment, and a non-dependent slot branches by its largest
-    successor set (a dependent is placed, so it does not branch).
-    """
-    ctx = _Context(replace(cfg, algorithm=Algorithm.MOTION))
-    s = sum(1 for enc in ctx.iter_states() if ctx.passes_initial(enc))
-    factor = 1 << (ctx.P * len(ctx.props))
-    for table in ctx.next_cells:
-        factor *= max(map(len, table))
-    return s * sum(factor**k for k in range(cfg.max_len))

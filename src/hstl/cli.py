@@ -22,7 +22,7 @@ from .core import make_grid, trace_from_json_dict
 from .errors import HstlError
 from .evaluator import evaluate
 from .formula import desugar, parse
-from .harness import RunReport, emit_table, render_trace, run, timed_sat_traces, validity_suite
+from .harness import DEFAULT_TIMEOUT, RunReport, emit_table, render_trace, run, timed_sat_traces, validity_suite
 from .scenarios import bench_suite, load_scenario
 
 # Desk-scale default: one representative parameterization per family.
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--algorithm", required=True, choices=[a.value for a in Algorithm]
     )
     check.add_argument("--max-len", type=int, default=None, help="override the scenario's bound")
-    check.add_argument("--timeout", type=float, default=600.0, help="seconds of wall clock")
+    check.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, help="seconds of wall clock")
     check.add_argument("--emit", choices=("table", "csv", "traces"), default="table")
     check.add_argument("--out", default=None, help="write output to a file instead of stdout")
     check.set_defaults(func=_cmd_check)
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma-separated test numbers (default: {','.join(map(str, DEFAULT_BENCH_TESTS))})",
     )
-    bench.add_argument("--timeout", type=float, default=600.0)
+    bench.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     bench.add_argument("--out", default=None, help="also write CSV here")
     bench.set_defaults(func=_cmd_bench)
 

@@ -71,8 +71,9 @@ from .formula import (
     symbols,
 )
 
-# Compiled node kinds.
+# Compiled node kinds, in the order of the core constructors they compile.
 _TOP, _PROP, _NOM, _NOT, _AND, _NEXT, _UNTIL, _SPATIAL, _AT, _BIND = range(10)
+_KINDS = {t: kind for kind, t in enumerate((Top, Prop, Nom, Not, And, Next, Until, Spatial, At, Bind))}
 
 _DIR_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
 _LEAF = 1 << 62  # the variable of a BDD terminal, after every obligation
@@ -103,6 +104,10 @@ class EvalStats:
 class CompiledFormula:
     """A core formula flattened for fast evaluation over one grid.
 
+    Node ``i`` is row ``i`` of :func:`~hstl.formula.index_nodes`; its
+    kind, child ids (``args``, ``args2``) and slot or direction (``aux``)
+    sit at index ``i`` of the parallel tuples.
+
     Compiling checks the names once: free propositions and nominals must
     be declared in ``props``/``noms``.  ``prop_slots`` and ``nom_slots``
     are the indices, into ``props`` and ``noms``, of those the formula
@@ -128,32 +133,20 @@ class CompiledFormula:
         usage, extras = _check_symbols(f, props, noms)
         prop_index = {name: i for i, name in enumerate(props)}
         nom_index = {name: i for i, name in enumerate(noms + extras)}
-        table = index_nodes(f)
-        n = len(table)
+        rows = index_nodes(f)
+        n = len(rows)
         kinds, args, args2, aux = [0] * n, [0] * n, [0] * n, [0] * n
-        for nid, entry in table.entries.items():
-            node = entry.formula
-            kids = entry.children
-            if isinstance(node, Top):
-                kinds[nid] = _TOP
-            elif isinstance(node, Prop):
-                kinds[nid], aux[nid] = _PROP, prop_index[node.name]
-            elif isinstance(node, Nom):
-                kinds[nid], aux[nid] = _NOM, nom_index[node.name]
-            elif isinstance(node, Not):
-                kinds[nid], args[nid] = _NOT, kids[0]
-            elif isinstance(node, And):
-                kinds[nid], args[nid], args2[nid] = _AND, kids[0], kids[1]
-            elif isinstance(node, Next):
-                kinds[nid], args[nid] = _NEXT, kids[0]
-            elif isinstance(node, Until):
-                kinds[nid], args[nid], args2[nid] = _UNTIL, kids[0], kids[1]
-            elif isinstance(node, Spatial):
-                kinds[nid], args[nid], aux[nid] = _SPATIAL, kids[0], _DIR_INDEX[node.direction]
-            elif isinstance(node, At):
-                kinds[nid], args[nid], aux[nid] = _AT, kids[0], nom_index[node.nominal]
-            else:  # Bind
-                kinds[nid], args[nid], aux[nid] = _BIND, kids[0], nom_index[node.nominal]
+        for nid, (node, kids) in enumerate(rows):
+            kinds[nid] = kind = _KINDS[type(node)]
+            args[nid], args2[nid] = (*kids, 0, 0)[:2]  # 0 where the node has fewer children
+            if kind == _PROP:
+                aux[nid] = prop_index[node.name]
+            elif kind == _NOM:
+                aux[nid] = nom_index[node.name]
+            elif kind == _SPATIAL:
+                aux[nid] = _DIR_INDEX[node.direction]
+            elif kind in (_AT, _BIND):
+                aux[nid] = nom_index[node.nominal]
         self.grid = g
         self.free_env = (None,) * len(nom_index)
         self.prop_slots = tuple(sorted(prop_index[name] for name in usage.props))

@@ -314,45 +314,26 @@ def desugar(f: Formula, g: GridGraph) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeEntry:
-    formula: Formula
-    parent: int | None
-    children: tuple[int, ...]
+def index_nodes(f: Formula) -> list[tuple[Formula, tuple[int, ...]]]:
+    """Number every occurrence in ``f``, which must be core-only, in preorder.
 
-
-@dataclass(frozen=True)
-class NodeTable:
-    """Preorder occurrence index of a core formula.
-
-    Syntactically identical subtrees at different positions receive
-    distinct identifiers; the evaluator's memo keys rely on this.
+    Row ``i`` is ``(node, children ids)``.  Row 0 is the root; a node's
+    children are its ``children(node)`` in left-to-right order, each with
+    a larger id than the node.  Syntactically identical subtrees at
+    different positions get distinct rows; the evaluator's memo keys
+    rely on this.
     """
-
-    entries: dict[int, NodeEntry]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def index_nodes(f: Formula) -> NodeTable:
-    """Assign preorder identifiers 0..n-1 to every occurrence in ``f``,
-    which must be core-only."""
-    nodes: list[tuple[Formula, int | None]] = []
-    kids: list[list[int]] = []
-    stack: list[tuple[Formula, int | None]] = [(f, None)]
+    rows: list[tuple[Formula, list[int]]] = []
+    stack: list[tuple[Formula, int]] = [(f, -1)]
     while stack:  # iterative, so deep trees need no deep recursion
         node, parent = stack.pop()
         if not isinstance(node, _CORE_TYPES):
             raise ValidationError("formula must be desugared (core constructors only)")
-        if parent is not None:
-            kids[parent].append(len(nodes))
-        stack.extend((c, len(nodes)) for c in reversed(children(node)))
-        nodes.append((node, parent))
-        kids.append([])
-    return NodeTable(
-        {i: NodeEntry(node, parent, tuple(kids[i])) for i, (node, parent) in enumerate(nodes)}
-    )
+        if parent >= 0:
+            rows[parent][1].append(len(rows))
+        stack.extend((c, len(rows)) for c in reversed(children(node)))
+        rows.append((node, []))
+    return [(node, tuple(kids)) for node, kids in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .checkers import Algorithm, CheckerConfig, CheckResult, conjoin, make_config, sat_traces
 from .core import GridGraph, Trace
+from .errors import ValidationError
 from .formula import desugar
 from .laws import ValidityReport, validity_suite  # re-exported: part of this surface
 from .scenarios import Scenario, compile_assumption_set, parse_specification
@@ -214,7 +215,7 @@ def render_trace(g: GridGraph, t: Trace) -> str:
     one cell.  Output is deterministic.
     """
     if t.grid != g:
-        raise ValueError("trace is over a different grid")
+        raise ValidationError("trace is over a different grid")
     frames: list[list[list[str]]] = []
     for s in t.states:
         cells = [["." for _ in range(g.cols)] for _ in range(g.rows)]

@@ -28,7 +28,6 @@ from hstl.checkers import (
     make_config,
     sat_traces,
     state_count,
-    trace_count_bound,
     unenforced_assumptions,
 )
 from hstl.core import DIRECTIONS, Direction, Position, State, Trace, make_grid
@@ -865,25 +864,3 @@ class TestStateFilter:
             assert sum(1 for _ in generate_traces_motion(cfg)) == traces
             assert calls["n"] <= most, scenario.name
 
-
-class TestCountBound:
-    def test_free_nominals_match_baseline(self):
-        g = make_grid(2, 2)
-        cfg = cfg_of(g, [], ["z0", "z1"], AssumptionSet(), 2, Algorithm.MOTION)
-        assert trace_count_bound(cfg) == 272 == baseline_trace_count(g, 0, 2, 2)
-
-    def test_all_static_bound_is_linear(self):
-        g = make_grid(2, 2)
-        aset = AssumptionSet([StaticCar("z0"), StaticCar("z1")])
-        cfg = cfg_of(g, [], ["z0", "z1"], aset, 3, Algorithm.MOTION)
-        assert trace_count_bound(cfg) == 16 * 3
-
-    def test_bound_dominates_generated_count(self):
-        rng = random.Random(90)
-        for _ in range(15):
-            g, props, noms, aset, n = random_exactness_instance(rng)
-            if props:
-                continue  # the theorem-style bound is stated for empty assignments
-            cfg = cfg_of(g, props, noms, aset, n, Algorithm.MOTION)
-            generated = sum(1 for _ in generate_traces_motion(cfg))
-            assert generated <= trace_count_bound(cfg)

@@ -201,7 +201,7 @@ class TestCaptureKey:
         g = make_grid(2, 1)
         f = prepared("↓u (h & @u (Front u & h))", ["h"], [], g)
         reads, captured = CompiledFormula(f, g, ("h",), ()).tables()
-        jump = next(i for i, e in index_nodes(f).entries.items() if isinstance(e.formula, At))
+        jump = next(i for i, (node, _) in enumerate(index_nodes(f)) if isinstance(node, At))
         assert reads == (True, True, True, False, True, True, True, True)
         assert not reads[jump] and captured[jump] == (0,)
 

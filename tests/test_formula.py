@@ -27,6 +27,7 @@ from hstl.formula import (
     Top,
     Until,
     WeakNext,
+    children,
     desugar,
     index_nodes,
     is_core,
@@ -260,35 +261,39 @@ class TestDesugar:
 
 class TestIndexNodes:
     def test_identical_twins_get_distinct_ids(self):
-        table = index_nodes(And(Top(), Top()))
-        assert len(table) == 3
-        ids = sorted(table.entries)
-        assert table.entries[ids[1]].formula == Top()
-        assert table.entries[ids[2]].formula == Top()
-        assert ids[1] != ids[2]
+        rows = index_nodes(And(Top(), Top()))
+        assert len(rows) == 3
+        ids = [i for i, (node, _) in enumerate(rows) if node == Top()]
+        assert len(ids) == 2 and ids[0] != ids[1]
+        assert rows[0][1] == tuple(ids)
 
     def test_single_atom(self):
-        assert len(index_nodes(Prop("h"))) == 1
+        assert index_nodes(Prop("h")) == [(Prop("h"), ())]
 
     def test_count_matches_structural_size(self):
-        rng = random.Random(9)
-        g = make_grid(2, 2)
-        for _ in range(100):
-            f = desugar(_random_sugar_formula(rng, budget=rng.randint(1, 12)), g)
+        for f in _random_core_formulas():
             assert len(index_nodes(f)) == size(f)
 
     def test_requires_core(self):
         with pytest.raises(ValidationError):
             index_nodes(Eventually(Top()))
 
-    def test_parent_links_form_a_tree(self):
-        f = desugar(parse("(h & q) U (h & q)", PROPS, NOMS), make_grid(2, 2))
-        table = index_nodes(f)
-        roots = [i for i, e in table.entries.items() if e.parent is None]
-        assert roots == [0]
-        for i, entry in table.entries.items():
-            for child in entry.children:
-                assert table.entries[child].parent == i
+    def test_rows_form_a_preorder_tree(self):
+        twins = desugar(parse("(h & q) U (h & q)", PROPS, NOMS), make_grid(2, 2))
+        for f in [twins, *_random_core_formulas()]:
+            rows = index_nodes(f)
+            assert rows[0][0] is f
+            child_ids = sorted(k for _, kids in rows for k in kids)
+            assert child_ids == list(range(1, len(rows)))  # each non-root has one parent
+            for i, (node, kids) in enumerate(rows):
+                assert all(k > i for k in kids)
+                assert tuple(rows[k][0] for k in kids) == children(node)
+
+
+def _random_core_formulas() -> list:
+    rng = random.Random(9)
+    g = make_grid(2, 2)
+    return [desugar(_random_sugar_formula(rng, budget=rng.randint(1, 12)), g) for _ in range(100)]
 
 
 class TestSymbols:

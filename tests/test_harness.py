@@ -3,9 +3,11 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
 from conftest import safe_follow_model
 from hstl.checkers import Algorithm, checked_formula, conjoin, unenforced_assumptions
 from hstl.core import Position, State, Trace, make_grid
+from hstl.errors import ValidationError
 from hstl.formula import desugar, index_nodes, is_core
 from hstl.harness import RunReport, build_config, emit_table, render_trace, run, validity_suite
 from hstl.idioms import lower
@@ -152,6 +154,11 @@ class TestRenderTrace:
         # Row 1 is printed last; the subject starts there, mid lane.
         assert frames[0].splitlines()[-1].split() == [".", "SV", "."]
         assert frames[1].splitlines()[-2].split() == [".", "SV", "."]
+
+    def test_grid_mismatch_is_a_validation_error(self):
+        t = Trace([State(make_grid(2, 1), {}, {"z0": Position(1, 1)})])
+        with pytest.raises(ValidationError, match="different grid"):
+            render_trace(make_grid(3, 3), t)
 
 
 class TestBuildConfig:
