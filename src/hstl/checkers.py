@@ -67,7 +67,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import Direction, GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
 from .evaluator import EncodedState, Progression, _check_symbols, compile_formula
-from .formula import AllDir, And, Formula, Top, desugar, is_core, validate_name
+from .formula import AllDir, And, Formula, Top, desugar, is_core, validate_declarations
 from .idioms import Assumption, AssumptionSet, Initial, lower, validate
 
 StopCheck = Callable[[], bool] | None
@@ -102,22 +102,16 @@ def make_config(
     algorithm: Algorithm,
 ) -> CheckerConfig:
     """The one check of a configuration's names and roles; desugars the
-    specification.  Rejects a length below 1, a name declared as both
-    proposition and nominal, a declared name that
-    :func:`~hstl.formula.validate_name` rejects, an undeclared free symbol of
-    the specification or of any assumption's lowering (a motion assumption's
-    vehicles included), and the motion roles :func:`~hstl.idioms.validate`
-    rejects."""
+    specification.  Rejects a length below 1, the declarations
+    :func:`~hstl.formula.validate_declarations` rejects, an undeclared free
+    symbol of the specification or of any assumption's lowering (a motion
+    assumption's vehicles included), and the motion roles
+    :func:`~hstl.idioms.validate` rejects."""
     props = tuple(sorted(set(props)))
     noms = tuple(sorted(set(noms)))
     if max_len < 1:
         raise ValidationError(f"max trace length must be >= 1, got {max_len}")
-    if both := set(props).intersection(noms):
-        raise ValidationError(f"names declared as both proposition and nominal: {sorted(both)}")
-    for name in props:
-        validate_name(name, "proposition")
-    for name in noms:
-        validate_name(name, "nominal")
+    validate_declarations(props, noms)
     for a in assumptions.assumptions:
         _check_symbols(lower(a), props, noms)
     validate(assumptions)

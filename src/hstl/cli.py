@@ -13,12 +13,11 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .checkers import Algorithm
-from .core import make_grid, trace_from_json_dict
+from .core import make_grid, read_json, trace_from_json_dict
 from .errors import HstlError
 from .evaluator import evaluate
 from .formula import desugar, parse
@@ -64,16 +63,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except ValueError:
         raise HstlError(f"--grid expects RxC, got {args.grid!r}")
     grid = make_grid(rows, cols)
-    doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    trace = trace_from_json_dict(doc)
+    trace = trace_from_json_dict(read_json(args.trace))
     try:
         i, j = (int(part) for part in args.point.split(","))
     except ValueError:
         raise HstlError(f"--point expects I,J, got {args.point!r}")
     point = grid.position(i, j)
-    formula = desugar(
-        parse(args.formula, frozenset(trace.prop_names), frozenset(trace.nominal_names)), grid
-    )
+    formula = desugar(parse(args.formula, trace.prop_names, trace.nominal_names), grid)
     verdict = evaluate(grid, trace, point, formula)
     print("true" if verdict else "false")
     return 0 if verdict else 1
@@ -111,8 +107,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    trace = trace_from_json_dict(doc)
+    trace = trace_from_json_dict(read_json(args.trace))
     sys.stdout.write(render_trace(trace.grid, trace))
     return 0
 
@@ -177,10 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HstlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (HstlError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

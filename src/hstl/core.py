@@ -17,6 +17,7 @@ All types here are immutable values, safe to share between workers.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -362,6 +363,15 @@ def _position_from_pair(g: GridGraph, pair, what: str) -> Position:
     if not g.contains(p):
         raise ValidationError(f"{what}: {p} is outside the {g.rows}x{g.cols} grid")
     return p
+
+
+def read_json(path):
+    """The document in the UTF-8 JSON file at ``path``, or a ValidationError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def read_field(doc, key, what: str, kind: type | tuple[type, ...] = (list, tuple)):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Direction, GridGraph
 from .errors import ParseError, ValidationError
@@ -422,6 +423,16 @@ def validate_name(name: str, role: str) -> None:
         raise ValidationError(f"{role} name {name!r} uses the reserved '_' prefix")
 
 
+def validate_declarations(props: Iterable[str], noms: Iterable[str]) -> None:
+    """Reject a name declared as both proposition and nominal, or one :func:`validate_name` rejects."""
+    if clash := set(props).intersection(noms):
+        raise ValidationError(f"names declared as both proposition and nominal: {sorted(clash)}")
+    for name in props:
+        validate_name(name, "proposition")
+    for name in noms:
+        validate_name(name, "nominal")
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], props: frozenset[str], noms: frozenset[str]):
         self.tokens = tokens
@@ -514,7 +525,7 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", offset)
 
 
-def parse(text: str, props: frozenset[str] | set[str], noms: frozenset[str] | set[str]) -> Formula:
+def parse(text: str, props: Iterable[str], noms: Iterable[str]) -> Formula:
     """Parse ``text`` against declared proposition and nominal names.
 
     Nominals introduced by a binder need not be pre-declared; any other
@@ -524,12 +535,7 @@ def parse(text: str, props: frozenset[str] | set[str], noms: frozenset[str] | se
     if not isinstance(text, str):
         raise ValidationError(f"a formula must be a string, got {text!r}")
     props, noms = frozenset(props), frozenset(noms)
-    if clash := props & noms:
-        raise ValidationError(f"names declared as both proposition and nominal: {sorted(clash)}")
-    for name in props:
-        validate_name(name, "proposition")
-    for name in noms:
-        validate_name(name, "nominal")
+    validate_declarations(props, noms)
     parser = _Parser(_tokenize(text), props, noms)
     result = parser.parse_infix()
     end = parser.take()

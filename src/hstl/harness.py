@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .checkers import Algorithm, CheckerConfig, CheckResult, conjoin, make_config, sat_traces
 from .core import GridGraph, Trace
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .formula import desugar
 from .laws import ValidityReport, validity_suite  # re-exported: part of this surface
 from .scenarios import Scenario, compile_assumption_set, parse_specification
@@ -57,16 +57,22 @@ def build_config(
     scenario: Scenario, algorithm: Algorithm, max_len: int | None = None
 ) -> CheckerConfig:
     """Compile a scenario into a checker configuration whose specification
-    is the conjunction of the scenario's specification formulas."""
-    return make_config(
-        scenario.grid,
-        scenario.propositions,
-        scenario.nominals,
-        compile_assumption_set(scenario),
-        desugar(conjoin(parse_specification(scenario)), scenario.grid),
-        scenario.max_trace_length if max_len is None else max_len,
-        algorithm,
-    )
+    is the conjunction of the scenario's specification formulas: the one
+    path from a :class:`Scenario` to a configuration.  It parses each
+    formula once and checks names and roles through :func:`make_config`;
+    its errors name the scenario."""
+    try:
+        return make_config(
+            scenario.grid,
+            scenario.propositions,
+            scenario.nominals,
+            compile_assumption_set(scenario),
+            desugar(conjoin(parse_specification(scenario)), scenario.grid),
+            scenario.max_trace_length if max_len is None else max_len,
+            algorithm,
+        )
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"scenario {scenario.name!r}: {exc}") from exc
 
 
 def timed_sat_traces(
@@ -103,7 +109,7 @@ def run(
         timed_out=result.interrupted,
         grid=(scenario.grid.rows, scenario.grid.cols),
         nominal_count=len(scenario.nominals),
-        max_len=scenario.max_trace_length if max_len is None else max_len,
+        max_len=result.cfg.max_len,
     )
 
 
@@ -129,38 +135,25 @@ _HEADER = (
 
 
 def _table_rows(reports: Iterable[RunReport]) -> list[tuple[str, ...]]:
-    grouped: dict[str, dict[str, RunReport]] = {}
-    meta: dict[str, RunReport] = {}
-    order: list[str] = []
+    grouped: dict[str, tuple[RunReport, dict[str, RunReport]]] = {}  # name -> (first report, by algorithm)
     for report in reports:
-        if report.scenario not in grouped:
-            grouped[report.scenario] = {}
-            meta[report.scenario] = report
-            order.append(report.scenario)
-        grouped[report.scenario][report.algorithm] = report
+        _, by_algo = grouped.setdefault(report.scenario, (report, {}))
+        by_algo[report.algorithm] = report
 
     rows = []
-    for name in order:
-        by_algo = grouped[name]
-        first = meta[name]
-        sat = "-"
-        for algo in _ALGO_ORDER:
-            r = by_algo.get(algo)
-            if r is not None and not r.timed_out:
-                sat = str(r.sat_count)
-                break
-        counts, times = [], []
+    for name, (first, by_algo) in grouped.items():
+        sat, cells = "-", []  # cells: one (count, time) pair per algorithm
         for algo in _ALGO_ORDER:
             r = by_algo.get(algo)
             if r is None:
-                counts.append("")
-                times.append("")
+                cells.append(("", ""))
             elif r.timed_out:
-                counts.append("-")
-                times.append("-")
+                cells.append(("-", "-"))
             else:
-                counts.append(str(r.trace_count))
-                times.append(f"{r.wall_time:.3f}")
+                if sat == "-":
+                    sat = str(r.sat_count)
+                cells.append((str(r.trace_count), f"{r.wall_time:.3f}"))
+        counts, times = zip(*cells)
         rows.append(
             (
                 name,

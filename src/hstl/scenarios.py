@@ -1,12 +1,12 @@
-"""Scenario definitions: file schema, validation, and the built-in suite.
+"""Scenario definitions: file schema and the built-in suite.
 
 A scenario bundles a grid, declared symbols, a set of assumptions (each
 tagged with the pruning kind the checkers should use for it), the
 specification formulas, and a maximum trace length.  Everything the
 checkers consume is derived from this one structure, and every built-in
-scenario is value-identical to its JSON serialization.  Validation parses
-the formulas, then leaves names and roles to the checkers' one gate,
-:func:`~hstl.checkers.make_config`.
+scenario is value-identical to its JSON serialization.  This module checks
+a file's schema only: :func:`~hstl.harness.build_config` parses the formulas
+and checks names and roles through :func:`~hstl.checkers.make_config`.
 
 Classification notes.  The built-in scenarios pin down, per scenario,
 which of their constraint formulas are handed to the pruning machinery
@@ -26,9 +26,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checkers import Algorithm, conjoin, make_config
-from .core import Direction, GridGraph, make_grid, read_field, read_strings
-from .errors import ParseError, ValidationError
+from .core import Direction, GridGraph, make_grid, read_field, read_json, read_strings
+from .errors import ValidationError
 from .formula import Formula, parse
 from .idioms import (
     Assumption,
@@ -78,6 +77,10 @@ class Scenario:
     specification: tuple[str, ...]
     max_trace_length: int
 
+    def __post_init__(self):
+        if self.max_trace_length < 1:
+            raise ValidationError(f"scenario {self.name!r}: max trace length must be >= 1, got {self.max_trace_length}")
+
 
 def _parse_path(names, what: str) -> tuple[Direction, ...]:
     try:
@@ -86,7 +89,7 @@ def _parse_path(names, what: str) -> tuple[Direction, ...]:
         raise ValidationError(f"{what}: unknown direction in {list(names)!r}") from exc
 
 
-def to_assumption(sa: ScenarioAssumption, props: frozenset[str], noms: frozenset[str]) -> Assumption:
+def to_assumption(sa: ScenarioAssumption, props: tuple[str, ...], noms: tuple[str, ...]) -> Assumption:
     """Turn a file-form assumption into its structured counterpart."""
 
     def need(attr: str):
@@ -117,23 +120,11 @@ def to_assumption(sa: ScenarioAssumption, props: frozenset[str], noms: frozenset
 
 
 def compile_assumption_set(s: Scenario) -> AssumptionSet:
-    props, noms = frozenset(s.propositions), frozenset(s.nominals)
-    return AssumptionSet(to_assumption(sa, props, noms) for sa in s.assumptions)
+    return AssumptionSet(to_assumption(sa, s.propositions, s.nominals) for sa in s.assumptions)
 
 
 def parse_specification(s: Scenario) -> tuple[Formula, ...]:
-    props, noms = frozenset(s.propositions), frozenset(s.nominals)
-    return tuple(parse(text, props, noms) for text in s.specification)
-
-
-def validate_scenario(s: Scenario) -> None:
-    """Parse everything and check names and roles through :func:`make_config`;
-    errors name the scenario."""
-    try:
-        aset, spec = compile_assumption_set(s), conjoin(parse_specification(s))
-        make_config(s.grid, s.propositions, s.nominals, aset, spec, s.max_trace_length, Algorithm.BASELINE)
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"scenario {s.name!r}: {exc}") from exc
+    return tuple(parse(text, s.propositions, s.nominals) for text in s.specification)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +198,9 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read, parse, and fully validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    scenario = scenario_from_json_dict(doc)
-    validate_scenario(scenario)
-    return scenario
+    """Read a scenario file and check its schema; its formulas, names and
+    roles are checked by :func:`~hstl.harness.build_config`."""
+    return scenario_from_json_dict(read_json(path))
 
 
 def save_scenario(s: Scenario, path) -> None:

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from hstl.checkers import make_config
 from hstl.cli import main
 from hstl.core import Position, State, Trace, make_grid, trace_to_json_dict
+from hstl.formula import parse
 from hstl.scenarios import Scenario, ScenarioAssumption, intersection, save_scenario, scenario_to_json_dict
 
 
@@ -161,6 +164,22 @@ class TestCheck:
         assert code == 0
         assert "16" in capsys.readouterr().out  # one-step candidates only
 
+    def test_max_len_override_does_not_excuse_the_files_own_bound(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(_scenario_doc(lambda d: d.update(max_trace_length=0))), encoding="utf-8")
+        code = main(["check", "--scenario", str(path), "--algorithm", "motion", "--max-len", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: scenario 'intersection(2)': max trace length must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("emit", ["table", "traces"])
+    def test_each_formula_is_parsed_once_and_configured_once(self, emit, scenario_file, monkeypatch, capsys):
+        parses = _count_calls(monkeypatch, parse)
+        configs = _count_calls(monkeypatch, make_config)
+        assert main(["check", "--scenario", str(scenario_file), "--algorithm", "motion", "--emit", emit]) == 0
+        scenario = intersection(2)
+        formulas = [a.formula for a in scenario.assumptions if a.formula is not None] + list(scenario.specification)
+        assert (len(parses), len(configs)) == (len(formulas), 1)
+
     @pytest.mark.parametrize("algorithm", ["baseline", "optimized", "motion"])
     @pytest.mark.parametrize("name", ["hazard_2", "intersection_2", "one_lane_follow_3", "passing_2"])
     def test_emitted_traces_are_pinned(self, name, algorithm, capsys):
@@ -200,6 +219,21 @@ class TestRender:
         assert out.startswith("t=0")
         assert "t=1" in out
         assert "z1" in out and "h" in out
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Route every ``hstl`` module's binding of ``fn`` through a counter;
+    the returned list grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "hstl" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
 
 
 def _trace_doc(edit):
@@ -266,6 +300,19 @@ class TestMalformedInput:
         assert main([command] + args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err and field in err
+
+    @pytest.mark.parametrize("command", ["check", "render", "eval"])
+    def test_file_that_is_not_utf8(self, command, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        args = {
+            "check": ["--scenario", str(path), "--algorithm", "motion"],
+            "render": ["--trace", str(path)],
+            "eval": ["--trace", str(path), "--grid", "2x1", "--formula", "h", "--point", "1,1"],
+        }[command]
+        assert main([command] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("name", sorted(_MALFORMED_SCENARIOS))
     def test_scenario_file(self, name, tmp_path, capsys):

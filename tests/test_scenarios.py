@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hstl.checkers import Algorithm
 from hstl.errors import ParseError, ValidationError
+from hstl.harness import build_config
 from hstl.scenarios import (
     bench_suite,
     builtin_scenarios,
@@ -20,8 +22,12 @@ from hstl.scenarios import (
     save_scenario,
     scenario_from_json_dict,
     scenario_to_json_dict,
-    validate_scenario,
 )
+
+
+def _build_under_every_algorithm(scenario):
+    for algorithm in Algorithm:
+        build_config(scenario, algorithm)
 
 
 class TestRoundTrip:
@@ -30,7 +36,7 @@ class TestRoundTrip:
             doc = scenario_to_json_dict(scenario)
             again = scenario_from_json_dict(json.loads(json.dumps(doc)))
             assert again == scenario
-            validate_scenario(again)
+            _build_under_every_algorithm(again)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "intersection.json"
@@ -63,8 +69,10 @@ class TestLoadErrors:
     def test_nominal_used_as_proposition(self, tmp_path):
         doc = scenario_to_json_dict(left_right())
         doc["specification"] = ["G(z & h)"]  # h undeclared
-        with pytest.raises(ParseError, match="undeclared"):
-            load_scenario(self._write(tmp_path, doc))
+        scenario = load_scenario(self._write(tmp_path, doc))  # the schema holds
+        for algorithm in Algorithm:
+            with pytest.raises(ParseError, match="^scenario 'left_right': undeclared"):
+                build_config(scenario, algorithm)
 
     def test_unknown_assumption_kind(self, tmp_path):
         doc = scenario_to_json_dict(left_right())
@@ -72,17 +80,21 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="kind"):
             load_scenario(self._write(tmp_path, doc))
 
-    def test_role_conflict_detected_at_load(self, tmp_path):
+    def test_role_conflict_detected_when_built(self, tmp_path):
         doc = scenario_to_json_dict(one_lane_follow(3))
         doc["assumptions"].append({"kind": "static", "nominal": "z1"})
-        with pytest.raises(ValidationError, match="conflicting"):
-            load_scenario(self._write(tmp_path, doc))
+        scenario = load_scenario(self._write(tmp_path, doc))
+        for algorithm in Algorithm:
+            with pytest.raises(ValidationError, match=r"^scenario 'one_lane_follow\(3\)': .*conflicting"):
+                build_config(scenario, algorithm)
 
     def test_unknown_direction(self, tmp_path):
         doc = scenario_to_json_dict(one_lane_follow(3))
         doc["assumptions"][1]["moves"] = [["Sideways"]]
-        with pytest.raises(ValidationError, match="direction"):
-            load_scenario(self._write(tmp_path, doc))
+        scenario = load_scenario(self._write(tmp_path, doc))
+        for algorithm in Algorithm:
+            with pytest.raises(ValidationError, match=r"^scenario 'one_lane_follow\(3\)': .*direction"):
+                build_config(scenario, algorithm)
 
 
 class TestBuiltins:
@@ -118,7 +130,7 @@ class TestBuiltins:
 
     def test_all_builtins_validate(self):
         for s in builtin_scenarios():
-            validate_scenario(s)
+            _build_under_every_algorithm(s)
 
 
 class TestBenchSuite:
