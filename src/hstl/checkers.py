@@ -42,13 +42,13 @@ those two make one pass per length, shorter traces first.  Motion's
 successors vary the placements outermost and the assignments innermost,
 and its one pass yields each prefix before it is extended.
 
-The walk yields each trace with the number of leading states it shares
-with the previous one.  :class:`CheckResult` progresses the checked
-formula along the stream (:class:`~hstl.evaluator.Progression`) from
-that prefix, and :meth:`_Context.decode_trace` reuses the states of the
-last trace it decoded up to the prefix they share, so it decodes only
-the states past it: one per trace under motion.  Every algorithm emits
-the same (trace, points) pairs.
+The walk folds a step function along the trace it is building: it
+steps the value of the trace's prefix by each state it pushes and
+restores that value when it pops the state, so each yield costs one
+step under motion.  :class:`CheckResult` folds the progression of the
+checked formula (:class:`~hstl.evaluator.Progression`), and
+:func:`_traces` folds the decoded states.  Every algorithm emits the
+same (trace, points) pairs.
 
 Every configuration passes :func:`make_config`, the one check of its
 names and motion roles.  Generators are lazy single-consumer streams;
@@ -62,15 +62,16 @@ import enum
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import Direction, GridGraph, Position, State, Trace, apply_path
 from .errors import ValidationError
-from .evaluator import EncodedState, Progression, _check_symbols, compile_formula
+from .evaluator import CompiledFormula, EncodedState, Progression, _check_symbols, compile_formula
 from .formula import AllDir, And, Formula, Top, desugar, is_core, validate_declarations
 from .idioms import Assumption, AssumptionSet, Initial, lower, validate
 
 StopCheck = Callable[[], bool] | None
+V = TypeVar("V")
 
 
 class Algorithm(enum.Enum):
@@ -207,7 +208,7 @@ class _Context:
     # -- state-level checks ---------------------------------------------------
 
     def _state_check(self, a: Assumption):
-        compiled = compile_formula(desugar(lower(a), self.grid), self.grid, self.props, self.noms)
+        compiled = CompiledFormula(desugar(lower(a), self.grid), self.grid, self.props, self.noms)
         return compiled, compiled.prop_slots, compiled.nom_slots, {}
 
     @staticmethod
@@ -247,15 +248,8 @@ class _Context:
             self._decoded[enc] = cached
         return cached
 
-    _last: tuple[State, ...] = ()  # the states of the trace decoded last
-
-    def decode_trace(self, enc_trace: Sequence[EncodedState], shared: int) -> Trace:
-        """The trace of ``enc_trace``, whose first ``shared`` states are
-        those of the trace this context decoded last: they are reused, and
-        only the rest are decoded."""
-        states = self._last[:shared] + tuple(map(self.decode, enc_trace[shared:]))
-        self._last = states
-        return Trace._trusted(states)
+    def decode_trace(self, enc_trace: Sequence[EncodedState]) -> Trace:
+        return Trace._trusted(tuple(map(self.decode, enc_trace)))
 
     # -- state enumeration --------------------------------------------------------
 
@@ -340,44 +334,46 @@ def baseline_trace_count(g: GridGraph, n_props: int, n_noms: int, max_len: int) 
 # ---------------------------------------------------------------------------
 
 
-def _iter_encoded(ctx: _Context, stop: StopCheck = None) -> Iterator[tuple[tuple[EncodedState, ...], int]]:
+def _iter_encoded(
+    ctx: _Context, step: Callable[[V, EncodedState], V], start: V, stop: StopCheck = None
+) -> Iterator[tuple[list[EncodedState], V]]:
     """The one walk: depth-first over :meth:`_Context.successors` from the
     first states, on an explicit stack.  Motion makes one pass to
     ``max_len`` and yields each prefix before its extensions; the others
     make one pass per length and yield the traces of that length only.
 
-    Each yield is ``(trace, shared)``: the first ``shared`` states of
-    ``trace`` are those of the previous yield.  Between two yields the
-    walk pops and then pushes, so ``shared`` is the trace's length after
-    the last pop: ``len(trace) - 1`` under motion, and 0 at the first
-    yield of each pass."""
+    Each yield is ``(trace, value)``: ``value`` is ``step`` folded from
+    ``start`` over the states of ``trace``.  The walk steps once per
+    state it pushes and drops the value with the state when it pops it.
+    ``trace`` is the walk's own list, valid only until the next yield."""
     n = ctx.cfg.max_len
     every_prefix = ctx.cfg.algorithm is Algorithm.MOTION
     for k in (n,) if every_prefix else range(1, n + 1):
         trace: list[EncodedState] = []
-        shared = 0
+        values = [start]  # per prefix length, the value folded over that prefix
         stack = [filter(ctx.passes_initial, ctx.successors(None, stop))]  # per position, its states left
         while stack:
             for state in stack[-1]:
                 trace.append(state)
+                values.append(step(values[-1], state))
                 if every_prefix or len(trace) == k:
-                    yield tuple(trace), shared
-                    shared = len(trace)
+                    yield trace, values[-1]
                 if len(trace) < k:
                     stack.append(iter(ctx.successors(state, stop)))
                     break
                 trace.pop()
-                shared = len(trace)
+                values.pop()
             else:
                 stack.pop()
                 if trace:
                     trace.pop()
-                    shared = len(trace)
+                    values.pop()
 
 
 def _traces(cfg: CheckerConfig) -> Iterator[Trace]:
     ctx = _Context(cfg)
-    return (ctx.decode_trace(enc_trace, shared) for enc_trace, shared in _iter_encoded(ctx))
+    decoded = _iter_encoded(ctx, lambda states, enc: states + (ctx.decode(enc),), ())
+    return (Trace._trusted(states) for _, states in decoded)
 
 
 def generate_traces_baseline(cfg: CheckerConfig) -> Iterator[Trace]:
@@ -433,7 +429,7 @@ def checked_formula(cfg: CheckerConfig) -> Formula:
     grid, parts = cfg.grid, []
     for a in unenforced_assumptions(cfg.assumptions, cfg.algorithm):
         f = desugar(lower(a), grid)
-        if isinstance(a, Initial) and compile_formula(f, grid, cfg.props, cfg.noms).tables()[0][0]:
+        if isinstance(a, Initial) and CompiledFormula(f, grid, cfg.props, cfg.noms).tables()[0][0]:
             row = And(And(f, AllDir(Direction.LEFT, None, f)), AllDir(Direction.RIGHT, None, f))
             f = desugar(And(And(row, AllDir(Direction.BACK, None, row)), AllDir(Direction.FRONT, None, row)), grid)
         parts.append(f)
@@ -450,11 +446,10 @@ class CheckResult:
     """Lazy stream of (trace, satisfying start cells of
     :func:`checked_formula`) with live counters.
 
-    Each trace is progressed from the prefix the walk reports it shares
-    with the previous one (one new state under motion), with steps
-    memoized for the life of the result.  A satisfying trace is decoded
-    past the prefix it shares with the last one emitted: the smallest
-    shared prefix reported since then.  ``traces_generated`` counts
+    The walk folds :meth:`~hstl.evaluator.Progression.step` along each
+    trace, so a trace's vector is its prefix's stepped by its last state,
+    with steps memoized for the life of the result.  A satisfying trace
+    is decoded when it is emitted.  ``traces_generated`` counts
     every candidate the generator yielded (prefixes included);
     ``traces_satisfying`` counts emissions.
     Both are valid snapshots at any point during consumption and final
@@ -489,22 +484,14 @@ class CheckResult:
                 return False
 
         progression = Progression(self._compiled)
-        stack = [progression.initial]  # per prefix length of the previous trace, the vector after it
-        decoded = 0  # leading states shared with the last trace decoded
-        for enc_trace, shared in _iter_encoded(ctx, stop):
+        for enc_trace, vector in _iter_encoded(ctx, progression.step, progression.initial, stop):
             if stop is not None and stop():
                 return
             self.traces_generated += 1
-            del stack[shared + 1 :]
-            for state in enc_trace[shared:]:
-                stack.append(progression.step(stack[-1], state))
-            if shared < decoded:
-                decoded = shared
-            points = progression.accepted[stack[-1]]
+            points = progression.accepted[vector]
             if points:
                 self.traces_satisfying += 1
-                yield ctx.decode_trace(enc_trace, decoded), points
-                decoded = len(enc_trace)
+                yield ctx.decode_trace(enc_trace), points
 
 
 def sat_traces(cfg: CheckerConfig, stop: StopCheck = None) -> CheckResult:

@@ -83,38 +83,34 @@ class Countermodel:
 
 @dataclass(frozen=True)
 class LawOutcome:
-    name: str
-    holds: bool
-    counterexample: Countermodel | None = None
+    """A law and the first model falsifying it, if the search found one."""
 
-
-@dataclass(frozen=True)
-class SearchOutcome:
     name: str
     countermodel: Countermodel | None
+
+    @property
+    def holds(self) -> bool:
+        return self.countermodel is None
 
 
 @dataclass(frozen=True)
 class ValidityReport:
     validities: tuple[LawOutcome, ...]
-    non_validities: tuple[SearchOutcome, ...]
+    non_validities: tuple[LawOutcome, ...]
 
     @property
     def all_pass(self) -> bool:
-        return all(v.holds for v in self.validities) and all(
-            s.countermodel is not None for s in self.non_validities
-        )
+        return all(v.holds for v in self.validities) and not any(s.holds for s in self.non_validities)
 
     def summary(self) -> str:
         lines = []
         for v in self.validities:
             lines.append(f"{'pass' if v.holds else 'FAIL'}  validity      {v.name}")
             if not v.holds:
-                lines.append(f"      counterexample: {v.counterexample}")
+                lines.append(f"      counterexample: {v.countermodel}")
         for s in self.non_validities:
-            found = s.countermodel is not None
-            lines.append(f"{'pass' if found else 'FAIL'}  non-validity  {s.name}")
-            if found:
+            lines.append(f"{'FAIL' if s.holds else 'pass'}  non-validity  {s.name}")
+            if not s.holds:
                 c = s.countermodel
                 lines.append(
                     f"      falsified on {c.grid.rows}x{c.grid.cols} at {c.position}: {c.trace}"
@@ -145,9 +141,6 @@ def validity_suite(max_rows: int, max_cols: int, max_len: int) -> ValidityReport
         raise ValidationError("validity suite bounds must all be >= 1")
 
     def search(laws):
-        return [(name, _countermodel(text, max_rows, max_cols, max_len)) for name, text in laws]
+        return tuple(LawOutcome(name, _countermodel(text, max_rows, max_cols, max_len)) for name, text in laws)
 
-    return ValidityReport(
-        validities=tuple(LawOutcome(name, c is None, c) for name, c in search(validity_laws())),
-        non_validities=tuple(SearchOutcome(name, c) for name, c in search(non_validity_laws())),
-    )
+    return ValidityReport(validities=search(validity_laws()), non_validities=search(non_validity_laws()))

@@ -1,6 +1,7 @@
 """Trace generation: counts, orders, exactness against brute force, bounds."""
 
 import copy
+import functools
 import itertools
 import pickle
 import random
@@ -45,7 +46,7 @@ from hstl.idioms import (
     lower,
 )
 from hstl.harness import build_config
-from hstl.scenarios import compile_assumption_set, passing, platoon
+from hstl.scenarios import bench_suite, compile_assumption_set, passing, platoon
 from test_acceptance import GATED_SCENARIOS
 
 F, B, L, R = Direction.FRONT, Direction.BACK, Direction.LEFT, Direction.RIGHT
@@ -602,25 +603,22 @@ def reference_decode(cfg, enc_trace) -> Trace:
 GATED = tuple(factory(*args) for factory, args, _ in GATED_SCENARIOS)
 
 
-class TestSharedPrefix:
-    """The walk yields each trace with the number of leading states it
-    shares with the previous yield; progression and decoding start there."""
+def collect(values, state):
+    return values + (state,)
+
+
+def walk(cfg):
+    return _iter_encoded(_Context(cfg), collect, ())
+
+
+class TestFold:
+    """The walk yields each trace with ``step`` folded from ``start`` over
+    its states; emissions decode each trace afresh."""
 
     @staticmethod
     def check_walk(cfg, limit=20_000):
-        previous = ()
-        for trace, shared in itertools.islice(_iter_encoded(_Context(cfg)), limit):
-            common = next(
-                (i for i, (a, b) in enumerate(zip(previous, trace)) if a != b), min(len(previous), len(trace))
-            )
-            assert trace[:shared] == previous[:shared]
-            if cfg.algorithm is Algorithm.MOTION:
-                assert shared == len(trace) - 1 == common
-            elif len(trace) != len(previous):  # the first yield of a length pass
-                assert shared == 0
-            else:
-                assert shared == common
-            previous = trace
+        for trace, value in itertools.islice(walk(cfg), limit):
+            assert value == functools.reduce(collect, tuple(trace), ())
 
     @pytest.mark.parametrize("scenario", GATED, ids=lambda s: s.name)
     def test_gated_scenarios(self, scenario):
@@ -638,15 +636,16 @@ class TestSharedPrefix:
                 self.check_walk(cfg_of(g, props, noms, aset, n, algorithm))
 
     def test_decoded_traces_match_a_fresh_decoding(self):
-        # A satisfying trace is decoded from the prefix it shares with the
-        # last one emitted, which unsatisfying traces in between may cut.
+        # The generators fold the decoded states along the walk, and
+        # sat_traces decodes each emission; both match a decoding from
+        # scratch.
         rng = random.Random(0x5A8)
         for _ in range(12):
             g, props, noms, aset, n = random_exactness_instance(rng)
             spec = random_core_formula(rng, props, noms, rng.randint(3, 8))
             for algorithm in Algorithm:
                 cfg = cfg_of(g, props, noms, aset, min(n, 2), algorithm, spec=spec)
-                fresh = [reference_decode(cfg, enc) for enc, _ in _iter_encoded(_Context(cfg))]
+                fresh = [reference_decode(cfg, enc) for enc, _ in walk(cfg)]
                 assert list(GENERATORS[algorithm](cfg)) == fresh
                 checked = checked_formula(cfg)
                 expected = [(t, points) for t in fresh if (points := sat_points(g, t, checked))]
@@ -656,7 +655,7 @@ class TestSharedPrefix:
     def test_gated_emissions_match_a_fresh_decoding(self, scenario):
         cfg = build_config(scenario, Algorithm.MOTION)
         checked = checked_formula(cfg)
-        fresh = (reference_decode(cfg, enc) for enc, _ in _iter_encoded(_Context(cfg)))
+        fresh = (reference_decode(cfg, enc) for enc, _ in walk(cfg))
         expected = [(t, points) for t in fresh if (points := sat_points(cfg.grid, t, checked))]
         assert list(sat_traces(cfg)) == expected
 
@@ -745,6 +744,15 @@ class TestCheckedFormula:
                 reads_start += 1
                 reads_start_and_satisfied += bool(emissions[0])
         assert reads_start >= 30 and reads_start_and_satisfied >= 8, (reads_start, reads_start_and_satisfied)
+
+    @pytest.mark.parametrize("scenario", bench_suite().values(), ids=lambda s: s.name)
+    def test_only_the_checked_formula_is_cached(self, scenario):
+        # The per-state checks and the initial anchoring test compile
+        # formulas no later call can hit, so they stay out of the cache.
+        for algorithm in Algorithm:
+            compile_formula.cache_clear()
+            sat_traces(build_config(scenario, algorithm))
+            assert compile_formula.cache_info().currsize == 1, algorithm
 
 
 class TestUnenforcedAssumptions:
