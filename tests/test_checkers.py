@@ -611,9 +611,11 @@ def walk(cfg):
     return _iter_encoded(_Context(cfg), collect, ())
 
 
-class TestFold:
-    """The walk yields each trace with ``step`` folded from ``start`` over
-    its states; emissions decode each trace afresh."""
+class TestSharedPrefix:
+    """Consecutive traces share the prefix on the walk's stack, and so the
+    value folded over it: each yield's value must equal ``step`` folded
+    from ``start`` over the whole trace, and each emission must equal the
+    trace decoded from scratch."""
 
     @staticmethod
     def check_walk(cfg, limit=20_000):

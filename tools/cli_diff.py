@@ -25,9 +25,6 @@ ALGORITHMS = ("baseline", "optimized", "motion")
 SKIPPED = {("platoon_2", "baseline"), ("platoon_2", "optimized")}
 
 
-VALIDITIES = ("validities", "--max-rows", "2", "--max-cols", "2", "--max-len", "2")
-
-
 def hstl(directory: Path, args: tuple[str, ...]) -> tuple[str, str, str]:
     """stdout, stderr and the exit code of one ``hstl`` run in ``directory``."""
     env = dict(os.environ, PYTHONPATH=str(directory / "src"))
@@ -51,7 +48,7 @@ def main() -> int:
         for algorithm in ALGORITHMS
         if (scenario, algorithm) not in SKIPPED
     ]
-    runs.append(("validities 2x2x2", VALIDITIES))
+    runs.append(("validities 2x2x2", ("validities", "--max-rows", "2", "--max-cols", "2", "--max-len", "2")))
     differing = 0
     for name, cmd in runs:
         before = hstl(args.parent, cmd)
