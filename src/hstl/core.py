@@ -159,10 +159,12 @@ class State:
     """One timestep: a proposition valuation and a total nominal valuation.
 
     The declared proposition and nominal sets are exactly the keys of
-    the two maps; every declared nominal must be placed somewhere.
+    the two maps; every declared nominal must be placed somewhere.  The
+    constructor encodes the state (:meth:`encoded`), and two states are
+    equal when their grids and encodings are.
     """
 
-    __slots__ = ("grid", "props", "noms", "_key", "_hash", "_encoded")
+    __slots__ = ("grid", "props", "noms", "_hash", "_encoded")
 
     def __init__(
         self,
@@ -181,36 +183,27 @@ class State:
                 raise ValidationError(f"nominal {name!r} must map to a single Position")
             if not grid.contains(c):
                 raise ValidationError(f"nominal {name!r} placed at {c}, outside the grid")
+        index = grid.index
+        prop_names, nom_names = tuple(sorted(frozen_props)), tuple(sorted(frozen_noms))
+        masks = tuple(sum(1 << index(c) for c in frozen_props[a]) for a in prop_names)  # distinct bits: sum is or
+        encoded = prop_names, nom_names, (masks, tuple(index(frozen_noms[v]) for v in nom_names))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "props", frozen_props)
         object.__setattr__(self, "noms", frozen_noms)
-        key = (
-            grid,
-            tuple(sorted(frozen_props.items())),
-            tuple(sorted(frozen_noms.items(), key=lambda kv: kv[0])),
-        )
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_encoded", encoded)
+        object.__setattr__(self, "_hash", hash((grid, encoded)))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("State is immutable")
 
-    def __reduce__(self):  # the encoding is not state: it is rebuilt on demand
+    def __reduce__(self):  # the encoding is not state: it is rebuilt by the constructor
         return State, (self.grid, self.props, self.noms)
 
     def encoded(self) -> tuple[tuple[str, ...], tuple[str, ...], EncodedState]:
         """The proposition and nominal names, sorted, and the state over
         them: per proposition the bitmask of its cells' row-major indices,
-        per nominal its cell's index.  Built on first use and kept."""
-        try:
-            return self._encoded
-        except AttributeError:
-            index, props, noms = self.grid.index, self.props, self.noms
-            prop_names, nom_names = tuple(sorted(props)), tuple(sorted(noms))
-            masks = tuple(sum(1 << index(c) for c in props[a]) for a in prop_names)  # distinct bits: sum is or
-            encoded = prop_names, nom_names, (masks, tuple(index(noms[v]) for v in nom_names))
-            object.__setattr__(self, "_encoded", encoded)
-            return encoded
+        per nominal its cell's index.  Built by the constructor."""
+        return self._encoded
 
     def with_nominal(self, name: str, p: Position) -> "State":
         """A copy of this state with one nominal repositioned (or added)."""
@@ -219,7 +212,7 @@ class State:
         return State(self.grid, self.props, noms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, State) and self._key == other._key
+        return isinstance(other, State) and self._encoded == other._encoded and self.grid == other.grid
 
     def __hash__(self) -> int:
         return self._hash

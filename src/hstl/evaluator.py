@@ -6,19 +6,19 @@ Three routes are provided on purpose and kept independent:
   integer arrays, cached on the formula object rather than its value
   (:func:`compile_formula`), so a caller that evaluates one formula many
   times desugars it once and passes the same object to every call.  Each
-  state is encoded once, to bitmask/tuple form, on first use
-  (:meth:`hstl.core.State.encoded`) and every later call reads that
-  encoding.  Results are memoized on ``(timestep, occurrence id,
-  viewpoint cell)``: the target of an ``@`` jump is read at the current
-  timestep, so a node below an ``@`` inside an until can be reached at
-  one (timestep, occurrence) with several viewpoints.  An until scans
-  forward over time, so the recursion's depth is the formula's, not the
-  trace's.  A binder ``↓v`` writes the current cell into
-  ``v``'s capture slot, which the recursion carries below it (a freeze
+  state is encoded to bitmask/tuple form when it is built
+  (:meth:`hstl.core.State.encoded`) and every call reads that encoding.
+  Each call keeps one memo dict, keyed on the flat index of ``(timestep,
+  occurrence id, viewpoint cell)``: the target of an ``@`` jump is read
+  at the current timestep, so a node below an ``@`` inside an until can
+  be reached at one (timestep, occurrence) with several viewpoints.  An
+  until scans forward over time, so the recursion's depth is the
+  formula's, not the trace's.  A binder ``↓v`` writes the current cell
+  into ``v``'s capture slot, which the recursion carries below it (a freeze
   quantifier writing a register); nominal reads and ``@`` jumps prefer
   a captured cell to the state's.  A node that reads a captured slot is
-  keyed instead on the timestep, the node, the cell if it reads it and
-  the captures it reads (:meth:`CompiledFormula.tables`).
+  keyed instead on that index, with the cell only if it reads it, paired
+  with the captures it reads (:meth:`CompiledFormula.tables`).
 * :class:`Progression` — the same semantics stepped one state at a time
   (formula progression, Bacchus & Kabanza 2000, on finite traces as in
   De Giacomo & Vardi 2013), for streams of traces that share prefixes.
@@ -97,8 +97,6 @@ class EvalStats:
     """Instrumentation filled in by :func:`evaluate` when supplied."""
 
     memo_entries: int = 0
-    node_count: int = 0
-    trace_length: int = 0
 
 
 class CompiledFormula:
@@ -118,8 +116,8 @@ class CompiledFormula:
     binder writes before anything reads it, so callers encode states
     over ``noms`` only.
 
-    The flat memo holds at most trace-length * node-count * cell-count
-    entries, and a node that reads a captured slot adds one per capture.
+    An evaluation writes at most trace-length * node-count * cell-count
+    memo entries, and a node that reads a captured slot adds one per capture.
     Unless a temporal operator sits below an ``@`` whose target moves, or
     below a binder, each occurrence is visited at one viewpoint per
     step, so at most trace-length * node-count entries are written.
@@ -193,9 +191,11 @@ class CompiledFormula:
             self._pick = tuple(None if slots is None else itemgetter(*slots) for slots in captured)
         return self._tables
 
-    def _run(self, states: list[EncodedState], memo: tuple[list[bool | None], dict], use):
+    def _run(self, states: list[EncodedState], memo: dict, use):
         """``use(holds)``, where ``holds(p)`` runs the memoized recursion
-        ``ev(node, k, p, env)`` from cell ``p``; every start shares the memo.
+        ``ev(node, k, p, env)`` from cell ``p``; every start shares ``memo``,
+        keyed on ``(k * n_nodes + node) * n_pos + p`` or, for a node that
+        reads captures, on that (cell 0 unless it reads the cell) and them.
         ``env`` holds per nominal slot the cell its innermost enclosing binder
         captured, or None to read the state.  ``ev`` refers to itself through
         its closure; dropping it on return frees the memo with the call."""
@@ -207,16 +207,16 @@ class CompiledFormula:
             self.tables()
         pick, reads = self._pick, self._tables and self._tables[0]
         last = len(states) - 1
-        memo, side = memo  # flat entries; those of the nodes that read a captured slot
+        get = memo.get
 
         def ev(node: int, k: int, p: int, env: tuple[int | None, ...]) -> bool:
             captures = pick[node]
             if captures is None:
                 key = (k * n_nodes + node) * n_pos + p
-                hit = memo[key]
-            else:  # within one node the captures are all a cell or all a tuple
-                key = ((k * n_nodes + node) * n_pos + (p if reads[node] else 0), captures(env))
-                hit = side.get(key)
+            else:  # the cells in the slots it reads: within one node all a cell or all a tuple, never None
+                captures = captures(env)
+                key = ((k * n_nodes + node) * n_pos + (p if reads[node] else 0), captures)
+            hit = get(key)
             if hit is not None:
                 return hit
             kind = kinds[node]
@@ -234,7 +234,7 @@ class CompiledFormula:
             elif kind == _NEXT:
                 res = k < last and ev(args[node], k + 1, p, env)
             elif kind == _UNTIL:  # scan forward: each step passed shares the answer of the step that decides
-                j, res = k, None
+                j, res, flat = k, None, key if captures is None else key[0]
                 while res is None:
                     if ev(args2[node], j, p, env):
                         res = True
@@ -242,13 +242,10 @@ class CompiledFormula:
                         res = False
                     else:
                         j += 1
-                        shift = (j - k) * stride
-                        res = memo[key + shift] if captures is None else side.get((key[0] + shift, key[1]))
-                for shift in range(stride, (j - k + 1) * stride, stride):  # steps k+1..j; step k below
-                    if captures is None:
-                        memo[key + shift] = res
-                    else:
-                        side[(key[0] + shift, key[1])] = res
+                        later = flat + (j - k) * stride
+                        res = get(later if captures is None else (later, captures))
+                for later in range(flat + stride, flat + (j - k + 1) * stride, stride):  # steps k+1..j; step k below
+                    memo[later if captures is None else (later, captures)] = res
             elif kind == _SPATIAL:
                 q = nbr[aux[node]][p]
                 res = q >= 0 and ev(args[node], k, q, env)
@@ -258,10 +255,7 @@ class CompiledFormula:
             else:  # _BIND
                 ni = aux[node]
                 res = ev(args[node], k, p, env[:ni] + (p,) + env[ni + 1 :])
-            if captures is None:
-                memo[key] = res
-            else:
-                side[key] = res
+            memo[key] = res
             return res
 
         free = self.free_env
@@ -270,29 +264,22 @@ class CompiledFormula:
         finally:
             del ev
 
-    def _fresh_memo(self, states: list[EncodedState]) -> tuple[list[bool | None], dict]:
-        return [None] * (len(states) * self.n_nodes * self.grid.position_count), {}
-
     def evaluate(self, states: list[EncodedState], p: int, stats: EvalStats | None = None) -> bool:
-        memo = self._fresh_memo(states)
+        memo: dict = {}
         result = self._run(states, memo, lambda holds: holds(p))
         if stats is not None:
-            stats.memo_entries = sum(1 for v in memo[0] if v is not None) + len(memo[1])
-            stats.node_count = self.n_nodes
-            stats.trace_length = len(states)
+            stats.memo_entries = len(memo)
         return result
 
     def sat_point_indices(self, states: list[EncodedState]) -> list[int]:
         """Start cells (row-major indices) at which the formula holds."""
         starts = range(self.grid.position_count)
-        memo = self._fresh_memo(states)
-        return self._run(states, memo, lambda holds: [p for p in starts if holds(p)])
+        return self._run(states, {}, lambda holds: [p for p in starts if holds(p)])
 
     def holds_everywhere(self, states: list[EncodedState]) -> bool:
         """True iff the formula holds at every start cell; stops at the first miss."""
         starts = range(self.grid.position_count)
-        memo = self._fresh_memo(states)
-        return self._run(states, memo, lambda holds: all(map(holds, starts)))
+        return self._run(states, {}, lambda holds: all(map(holds, starts)))
 
 
 class CacheInfo(NamedTuple):

@@ -172,13 +172,47 @@ class TestStateAndTrace:
         g = make_grid(1, 1)
         s = State(g, {"h": [Position(1, 1)]}, {"z": Position(1, 1)})
         t = Trace([s, State(g, {"h": []}, {"z": Position(1, 1)})])
-        s.encoded()  # a filled encoding is rebuilt on the copy, not carried
+        # the encoding is rebuilt by the constructor on the copy, not carried
         for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
             s2, t2 = clone(s), clone(t)
             assert s2 == s and hash(s2) == hash(s) and s2.encoded() == s.encoded()
             assert t2 == t and hash(t2) == hash(t) and t2.prop_names == ("h",)
             with pytest.raises(AttributeError):
                 s2.props = {}
+
+    def test_identity_is_grid_and_valuation(self):
+        # Equal encodings on different grids: both place z at row-major cell 1.
+        wide = State(make_grid(1, 2), {}, {"z": Position(1, 2)})
+        tall = State(make_grid(2, 1), {}, {"z": Position(2, 1)})
+        assert wide.encoded() == tall.encoded()
+        assert wide != tall and len({wide, tall}) == 2
+
+        # Equality and hashing agree with the valuation itself: the grid and
+        # both maps, whatever order their dicts were built in.
+        def valuation(s):
+            return (s.grid, tuple(sorted(s.props.items())), tuple(sorted(s.noms.items())))
+
+        def shuffled(rng, items):
+            items = list(items)
+            rng.shuffle(items)
+            return dict(items)
+
+        rng = random.Random(2025)
+        grids = [make_grid(r, c) for r, c in ((1, 2), (2, 1), (2, 2), (1, 4), (4, 1))]
+        states = []
+        for _ in range(150):
+            g = rng.choice(grids)
+            cells = list(g.positions())
+            props = {a: rng.sample(cells, rng.randint(0, 2)) for a in rng.sample(["h", "k"], rng.randint(0, 2))}
+            noms = {v: rng.choice(cells) for v in rng.sample(["y", "z"], rng.randint(1, 2))}
+            states += [State(g, shuffled(rng, props.items()), shuffled(rng, noms.items())) for _ in range(2)]
+        keys = [valuation(s) for s in states]
+        for a, ka in zip(states, keys):
+            for b, kb in zip(states, keys):
+                assert (a == b) == (ka == kb)
+                if ka == kb:
+                    assert hash(a) == hash(b)
+        assert len(set(states)) == len(set(keys)) < len(states)
 
     def test_encoding_is_sorted_and_kept(self):
         g = make_grid(2, 2)
